@@ -8,7 +8,7 @@ namespace msim {
 
 Arb::Arb(StatGroup &stats, MainMemory &mem, const Params &params,
          Tracer *tracer)
-    : stats_(stats), mem_(mem), params_(params), tracer_(tracer),
+    : stats_{stats}, mem_(mem), params_(params), tracer_(tracer),
       banks_(params.numBanks)
 {
     fatalIf(params.numBanks == 0, "ARB needs at least one bank");
@@ -109,7 +109,7 @@ Arb::load(TaskSeq seq, Addr addr, unsigned size, bool is_head)
             }
         }
     });
-    stats_.add("loads");
+    ++stats_.loads;
     return value;
 }
 
@@ -186,11 +186,11 @@ Arb::store(TaskSeq seq, Addr addr, unsigned size, std::uint64_t value,
         }
     });
 
-    stats_.add("stores");
+    ++stats_.stores;
     if (violator) {
-        stats_.add("violations");
-        stats_.addToDist("violationsByBank",
-                         "bank" + std::to_string(bankOf(addr)));
+        ++stats_.violations;
+        stats_.group.addToDist("violationsByBank",
+                               "bank" + std::to_string(bankOf(addr)));
         if (tracer_ && tracer_->wants(TraceCat::kArb)) {
             tracer_->instant(TraceCat::kArb, "violation",
                              tracer_->now(), kTidArb, "addr", addr,
@@ -224,7 +224,7 @@ Arb::commit(TaskSeq seq)
                 if (rit->storeMask & (1u << b))
                     mem_.write(g + b, rit->bytes[b], 1);
             }
-            stats_.add("committedStores");
+            ++stats_.committedStores;
         }
         entry.records.erase(rit);
         if (entry.records.empty())
@@ -253,7 +253,7 @@ Arb::squash(TaskSeq seq)
         panicIf(rit == entry.records.end(),
                 "ARB squash: touched granule has no record");
         if (rit->storeMask) {
-            stats_.add("squashedStores");
+            ++stats_.squashedStores;
             ++squashedStores;
         }
         if (rit->loadMask)
@@ -263,9 +263,9 @@ Arb::squash(TaskSeq seq)
             bank.erase(it);
     }
     if (squashedStores)
-        stats_.addToDist("squashedRecords", "store", squashedStores);
+        stats_.group.addToDist("squashedRecords", "store", squashedStores);
     if (squashedLoads)
-        stats_.addToDist("squashedRecords", "load", squashedLoads);
+        stats_.group.addToDist("squashedRecords", "load", squashedLoads);
     if (tracer_ && tracer_->wants(TraceCat::kArb)) {
         tracer_->instant(TraceCat::kArb, "task_squash", tracer_->now(),
                          kTidArb, "seq", seq, "granules",

@@ -138,7 +138,18 @@ class Arb
 
     static constexpr Addr kGranule = 8;
 
-    StatGroup &stats_;
+    /** Counters bound once in the ARB's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &loads = group.counter("loads");
+        std::uint64_t &stores = group.counter("stores");
+        std::uint64_t &violations = group.counter("violations");
+        std::uint64_t &committedStores = group.counter("committedStores");
+        std::uint64_t &squashedStores = group.counter("squashedStores");
+    };
+
+    Counters stats_;
     MainMemory &mem_;
     Params params_;
     Tracer *tracer_ = nullptr;

@@ -3,7 +3,9 @@
  * A small statistics package: named scalar counters and simple
  * distributions grouped per component, with text formatting. Every
  * timing component in the simulator registers its counters here so the
- * benchmark harness can dump a complete machine profile.
+ * benchmark harness can dump a complete machine profile. Scalar
+ * counters are bound once (counter()) and bumped through the returned
+ * reference; names are never looked up per event.
  */
 
 #ifndef MSIM_COMMON_STATS_HH
@@ -22,18 +24,19 @@ class StatGroup
   public:
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
-    /** Add @p delta to the named scalar counter (creating it at 0). */
-    void
-    add(const std::string &stat, std::uint64_t delta = 1)
+    /**
+     * Bind the named scalar counter (creating it at 0) and return a
+     * reference to its value. Components resolve every counter they
+     * bump once, at construction, so the simulation hot path
+     * increments a plain integer instead of building a string and
+     * walking a map. The reference stays valid for the group's
+     * lifetime: through reset() and through later insertions of
+     * other names.
+     */
+    std::uint64_t &
+    counter(const std::string &stat)
     {
-        scalars_[stat] += delta;
-    }
-
-    /** Set the named scalar counter to an absolute value. */
-    void
-    set(const std::string &stat, std::uint64_t value)
-    {
-        scalars_[stat] = value;
+        return scalars_[stat];
     }
 
     /** @return the value of a scalar counter (0 when absent). */

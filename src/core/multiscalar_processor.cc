@@ -12,11 +12,11 @@ namespace msim {
 
 MultiscalarProcessor::MultiscalarProcessor(const Program &program,
                                            const MsConfig &config)
-    : program_(program), config_(config), acct_(config.numUnits)
+    : program_(program), config_(config),
+      coreStats_{stats_.group("core")}, acct_(config.numUnits)
 {
     config.validate();
     mem_.loadProgram(program);
-    coreStats_ = &stats_.group("core");
     if (config.trace.enabled) {
         tracer_ = std::make_unique<Tracer>(config.trace);
         tracer_->threadName(kTidSequencer, "sequencer");
@@ -173,7 +173,7 @@ MultiscalarProcessor::memHasSpace(unsigned unit, Addr addr, unsigned size,
     const bool ok = arb_->hasSpaceFor(seqOf(unit), addr, size, is_load,
                                       unitIsHead(unit));
     if (!ok) {
-        coreStats_->add("arbFullStalls");
+        ++coreStats_.arbFullStalls;
         if (tracer_ && tracer_->wants(TraceCat::kArb)) {
             tracer_->instant(TraceCat::kArb, "arb_full", tracer_->now(),
                              kTidArb, "unit", unit, "addr", addr);
@@ -304,7 +304,8 @@ MultiscalarProcessor::actualTargetIndex(const ActiveTask &task,
 }
 
 void
-MultiscalarProcessor::squashFrom(TaskSeq from, const char *reason)
+MultiscalarProcessor::squashFrom(TaskSeq from, const char *event,
+                                 std::uint64_t &counter)
 {
     while (numActive_ > 0) {
         const unsigned tail_unit = unitAt(numActive_ - 1);
@@ -316,18 +317,15 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *reason)
         result_.tasksSquashed += 1;
         acct_.squashTask(tail_unit);
         if (tracer_ && tracer_->wants(TraceCat::kTask)) {
-            // Sinks stream synchronously, so a temporary name is safe.
-            tracer_->instant(TraceCat::kTask,
-                             std::string("squash_") + reason,
-                             tracer_->now(), tail_unit, "seq",
-                             taskInfo_[tail_unit].seq);
+            tracer_->instant(TraceCat::kTask, event, tracer_->now(),
+                             tail_unit, "seq", taskInfo_[tail_unit].seq);
             tracer_->end(TraceCat::kTask, tracer_->now(), tail_unit);
         }
         arb_->squash(taskInfo_[tail_unit].seq);
         taskInfo_[tail_unit] = ActiveTask{};
         --numActive_;
     }
-    coreStats_->add(std::string("squash_") + reason);
+    ++counter;
     rebuildWalkRegs();
     // The sequencer loses a step: any descriptor prefetch in progress
     // is abandoned.
@@ -368,11 +366,6 @@ MultiscalarProcessor::validateExit(const ExitEvent &event)
     if (task.seq != event.seq || !pu(unit).hasExited())
         return;
 
-    if (std::getenv("MSIM_TRACE")) {
-        std::fprintf(stderr, "exit seq=%llu unit=%u actual=0x%x pred=0x%x\n",
-                     (unsigned long long)task.seq, unit, event.actual,
-                     task.predictedNext);
-    }
     const unsigned actual_idx = actualTargetIndex(task, event.actual);
     predictor_->update(task.start, *task.desc, actual_idx);
     if (task.counted) {
@@ -386,7 +379,7 @@ MultiscalarProcessor::validateExit(const ExitEvent &event)
     // Control misprediction: squash every later task and restart the
     // walk from the actual successor.
     result_.controlSquashes += 1;
-    squashFrom(task.seq + 1, "control");
+    squashFrom(task.seq + 1, "squash_control", coreStats_.squashControl);
     ras_->restore(task.rasCp);
     const TaskTarget &t = task.desc->targets[actual_idx];
     if (t.spec == TargetSpec::kCall)
@@ -410,7 +403,8 @@ MultiscalarProcessor::deferredPhase(Cycle)
                 const Addr restart = taskInfo_[unit].start;
                 const auto ras_cp = taskInfo_[unit].rasCp;
                 result_.memorySquashes += 1;
-                squashFrom(taskInfo_[unit].seq, "memory");
+                squashFrom(taskInfo_[unit].seq, "squash_memory",
+                           coreStats_.squashMemory);
                 ras_->restore(ras_cp);
                 nextTaskAddr_ = restart;
                 break;
@@ -436,7 +430,8 @@ MultiscalarProcessor::deferredPhase(Cycle)
             const Addr restart = taskInfo_[tail_unit].start;
             const auto ras_cp = taskInfo_[tail_unit].rasCp;
             result_.arbFullSquashes += 1;
-            squashFrom(taskInfo_[tail_unit].seq, "arbfull");
+            squashFrom(taskInfo_[tail_unit].seq, "squash_arbfull",
+                       coreStats_.squashArbFull);
             ras_->restore(ras_cp);
             nextTaskAddr_ = restart;
         }
@@ -541,15 +536,6 @@ MultiscalarProcessor::assignPhase(Cycle now)
         }
     }
 
-    if (std::getenv("MSIM_TRACE")) {
-        std::fprintf(stderr,
-                     "[%llu] assign seq=%llu unit=%u addr=0x%x "
-                     "pred=0x%x r20=0x%x r21=0x%x busy20=%d\n",
-                     (unsigned long long)now,
-                     (unsigned long long)info.seq, unit, addr,
-                     info.predictedNext, init[20].asWord(),
-                     init[21].asWord(), int(busy.test(20)));
-    }
     pu(unit).assignTask(info.seq, addr, desc->createMask, busy,
                         init.data(), producers.data());
     if (oracle_ && config_.writeSetOracle) {
@@ -560,7 +546,7 @@ MultiscalarProcessor::assignPhase(Cycle now)
     taskInfo_[unit] = info;
     ++numActive_;
     descFetchAddr_ = kBadAddr;
-    coreStats_->add("assignments");
+    ++coreStats_.assignments;
     if (tracer_ && tracer_->wants(TraceCat::kTask)) {
         char name[32];
         std::snprintf(name, sizeof(name), "task@0x%x", unsigned(addr));
@@ -659,8 +645,8 @@ MultiscalarProcessor::accountSkip(std::uint64_t n)
         pu(u).accountSkippedCycles(n);
     result_.idleCycles += (config_.numUnits - numActive_) * n;
     result_.fastForwardedCycles += n;
-    coreStats_->add("ffJumps");
-    coreStats_->add("ffSkippedCycles", n);
+    ++coreStats_.ffJumps;
+    coreStats_.ffSkippedCycles += n;
 }
 
 RunResult
@@ -772,8 +758,8 @@ MultiscalarProcessor::run(Cycle max_cycles)
     acct_.exportStats(stats_.group("cycles"));
     if (tracer_) {
         tracer_->flush();
-        coreStats_->add("traceEvents", tracer_->recorded());
-        coreStats_->add("traceDropped", tracer_->dropped());
+        coreStats_.group.counter("traceEvents") += tracer_->recorded();
+        coreStats_.group.counter("traceDropped") += tracer_->dropped();
     }
     return result_;
 }

@@ -150,8 +150,12 @@ class MultiscalarProcessor : public PuContext
     ProcessingUnit &pu(unsigned unit) { return *units_[unit]; }
     const ProcessingUnit &pu(unsigned unit) const { return *units_[unit]; }
 
-    /** Squash every active task with seq >= @p from. */
-    void squashFrom(TaskSeq from, const char *reason);
+    /**
+     * Squash every active task with seq >= @p from, counting the
+     * squash in @p counter and naming it @p event in the trace.
+     */
+    void squashFrom(TaskSeq from, const char *event,
+                    std::uint64_t &counter);
 
     /** Resolve a predicted target to an address (RAS effects). */
     Addr resolveTarget(const TaskTarget &target);
@@ -164,8 +168,21 @@ class MultiscalarProcessor : public PuContext
     // --- members ------------------------------------------------------
     const Program &program_;
     MsConfig config_;
+    /** The core's counters, bound once in its "core" stat group. */
+    struct CoreCounters
+    {
+        StatGroup &group;
+        std::uint64_t &assignments = group.counter("assignments");
+        std::uint64_t &arbFullStalls = group.counter("arbFullStalls");
+        std::uint64_t &squashControl = group.counter("squash_control");
+        std::uint64_t &squashMemory = group.counter("squash_memory");
+        std::uint64_t &squashArbFull = group.counter("squash_arbfull");
+        std::uint64_t &ffJumps = group.counter("ffJumps");
+        std::uint64_t &ffSkippedCycles = group.counter("ffSkippedCycles");
+    };
+
     StatRegistry stats_;
-    StatGroup *coreStats_ = nullptr;
+    CoreCounters coreStats_;
     /** Only constructed when config.trace.enabled. */
     std::unique_ptr<Tracer> tracer_;
     CycleAccounting acct_;

@@ -9,8 +9,6 @@ namespace msim::isa {
 
 namespace {
 
-constexpr size_t kNumOps = size_t(Opcode::kNumOpcodes);
-
 /** Which register operands of an opcode live in the FP file. */
 struct Banks
 {

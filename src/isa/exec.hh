@@ -16,6 +16,7 @@
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
+#include "isa/registers.hh"
 
 namespace msim::isa {
 
@@ -71,14 +72,48 @@ struct BranchResult
  * dynamic write-set oracle would diverge from the static may-write
  * sets.
  */
-RegIndex destOf(const Instruction &inst);
+inline RegIndex
+destOf(const Instruction &inst)
+{
+    switch (inst.cls()) {
+      case InstClass::kSyscall:
+        return intReg(kRegV0);
+      case InstClass::kStore:
+        return kNoReg;
+      default:
+        return inst.rd;
+    }
+}
 
 /**
  * Collect the source registers of an instruction into @p out (at
  * most 4). Syscalls read $v0/$a0/$a1; releases read the registers
  * they release; everything else reads rs/rt when present.
  */
-unsigned sourcesOf(const Instruction &inst, RegIndex out[4]);
+inline unsigned
+sourcesOf(const Instruction &inst, RegIndex out[4])
+{
+    unsigned n = 0;
+    switch (inst.cls()) {
+      case InstClass::kSyscall:
+        out[n++] = intReg(kRegV0);
+        out[n++] = intReg(kRegA0);
+        out[n++] = intReg(kRegA1);
+        return n;
+      case InstClass::kRelease:
+        if (inst.rs != kNoReg)
+            out[n++] = inst.rs;
+        if (inst.rel2 != kNoReg)
+            out[n++] = inst.rel2;
+        return n;
+      default:
+        if (inst.rs != kNoReg)
+            out[n++] = inst.rs;
+        if (inst.rt != kNoReg)
+            out[n++] = inst.rt;
+        return n;
+    }
+}
 
 /**
  * Evaluate a register-writing computation (ALU, FP, lui, link).

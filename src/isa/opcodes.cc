@@ -1,179 +1,33 @@
 #include "isa/opcodes.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace msim::isa {
 
-namespace {
+namespace detail {
 
-using enum Format;
-using enum InstClass;
-
-constexpr size_t kNumOps = size_t(Opcode::kNumOpcodes);
-
-/** Indexed by Opcode value; order must match the enum exactly. */
-const std::array<OpInfo, kNumOps> kOpTable = {{
-    {"add", kR3, kIntAlu},
-    {"addu", kR3, kIntAlu},
-    {"sub", kR3, kIntAlu},
-    {"subu", kR3, kIntAlu},
-    {"and", kR3, kIntAlu},
-    {"or", kR3, kIntAlu},
-    {"xor", kR3, kIntAlu},
-    {"nor", kR3, kIntAlu},
-    {"sllv", kR3, kIntAlu},
-    {"srlv", kR3, kIntAlu},
-    {"srav", kR3, kIntAlu},
-    {"slt", kR3, kIntAlu},
-    {"sltu", kR3, kIntAlu},
-    {"addi", kRI, kIntAlu},
-    {"addiu", kRI, kIntAlu},
-    {"andi", kRI, kIntAlu},
-    {"ori", kRI, kIntAlu},
-    {"xori", kRI, kIntAlu},
-    {"slti", kRI, kIntAlu},
-    {"sltiu", kRI, kIntAlu},
-    {"lui", kLui, kIntAlu},
-    {"sll", kSh, kIntAlu},
-    {"srl", kSh, kIntAlu},
-    {"sra", kSh, kIntAlu},
-    {"mul", kR3, kIntMult},
-    {"div", kR3, kIntDiv},
-    {"rem", kR3, kIntDiv},
-    {"lw", kLS, kLoad},
-    {"lh", kLS, kLoad},
-    {"lhu", kLS, kLoad},
-    {"lb", kLS, kLoad},
-    {"lbu", kLS, kLoad},
-    {"sw", kLS, kStore},
-    {"sh", kLS, kStore},
-    {"sb", kLS, kStore},
-    {"ldc1", kLS, kLoad},
-    {"sdc1", kLS, kStore},
-    {"lwc1", kLS, kLoad},
-    {"swc1", kLS, kStore},
-    {"beq", kBr2, kBranch},
-    {"bne", kBr2, kBranch},
-    {"blez", kBr1, kBranch},
-    {"bgtz", kBr1, kBranch},
-    {"bltz", kBr1, kBranch},
-    {"bgez", kBr1, kBranch},
-    {"j", Format::kJ, kBranch},
-    {"jal", Format::kJ, kBranch},
-    {"jr", kJr, kBranch},
-    {"jalr", Format::kJalr, kBranch},
-    {"add.s", kR3, kFpAddSP},
-    {"sub.s", kR3, kFpAddSP},
-    {"mul.s", kR3, kFpMulSP},
-    {"div.s", kR3, kFpDivSP},
-    {"add.d", kR3, kFpAddDP},
-    {"sub.d", kR3, kFpAddDP},
-    {"mul.d", kR3, kFpMulDP},
-    {"div.d", kR3, kFpDivDP},
-    {"mov.d", kR2, kFpMove},
-    {"neg.d", kR2, kFpMove},
-    {"abs.d", kR2, kFpMove},
-    {"cvt.d.w", kR2, kFpMove},
-    {"cvt.w.d", kR2, kFpMove},
-    {"c.lt.d", kR3, kFpMove},
-    {"c.le.d", kR3, kFpMove},
-    {"c.eq.d", kR3, kFpMove},
-    {"release", kRel, kRelease},
-    {"syscall", kNone, kSyscall},
-    {"nop", kNone, InstClass::kNop},
-}};
-
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+badOpcode(std::size_t idx)
 {
-    auto idx = size_t(op);
-    panicIf(idx >= kNumOps, "opInfo: bad opcode ", idx);
-    return kOpTable[idx];
+    panic("opInfo: bad opcode ", idx);
 }
+
+void
+badClass(InstClass cls)
+{
+    panic("execLatency: bad class ", unsigned(cls));
+}
+
+} // namespace detail
 
 std::optional<Opcode>
 parseMnemonic(std::string_view mnemonic)
 {
-    for (size_t i = 0; i < kNumOps; ++i) {
+    for (std::size_t i = 0; i < kNumOps; ++i) {
         if (mnemonic == kOpTable[i].mnemonic)
             return Opcode(i);
     }
     return std::nullopt;
-}
-
-FuKind
-fuKind(InstClass cls)
-{
-    switch (cls) {
-      case kIntAlu:
-      case kRelease:
-      case kSyscall:
-      case InstClass::kNop:
-        return FuKind::kSimpleInt;
-      case kIntMult:
-      case kIntDiv:
-        return FuKind::kComplexInt;
-      case kLoad:
-      case kStore:
-        return FuKind::kMem;
-      case kBranch:
-        return FuKind::kBranch;
-      default:
-        return FuKind::kFp;
-    }
-}
-
-unsigned
-execLatency(InstClass cls)
-{
-    switch (cls) {
-      case kIntAlu:
-      case kRelease:
-      case kSyscall:
-      case InstClass::kNop:
-        return 1;
-      case kIntMult:
-        return 4;
-      case kIntDiv:
-        return 12;
-      case kLoad:
-        return 1;  // address generation; cache supplies access time
-      case kStore:
-        return 1;
-      case kBranch:
-        return 1;
-      case kFpAddSP:
-        return 2;
-      case kFpMulSP:
-        return 4;
-      case kFpDivSP:
-        return 12;
-      case kFpAddDP:
-        return 2;
-      case kFpMulDP:
-        return 5;
-      case kFpDivDP:
-        return 18;
-      case kFpMove:
-        return 1;
-    }
-    panic("execLatency: bad class");
-}
-
-bool
-isControl(InstClass cls)
-{
-    return cls == kBranch;
-}
-
-bool
-isMem(InstClass cls)
-{
-    return cls == kLoad || cls == kStore;
 }
 
 } // namespace msim::isa

@@ -12,6 +12,8 @@
 #ifndef MSIM_ISA_OPCODES_HH
 #define MSIM_ISA_OPCODES_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -104,14 +106,132 @@ struct OpInfo
     InstClass cls;
 };
 
+inline constexpr std::size_t kNumOps = std::size_t(Opcode::kNumOpcodes);
+
+namespace detail {
+
+/** Out of line and cold: the hot lookups below only branch to them. */
+[[noreturn]] void badOpcode(std::size_t idx);
+[[noreturn]] void badClass(InstClass cls);
+
+/** Indexed by Opcode value; order must match the enum exactly. */
+constexpr std::array<OpInfo, kNumOps>
+makeOpTable()
+{
+    using enum Format;
+    using enum InstClass;
+    return {{
+        {"add", kR3, kIntAlu},
+        {"addu", kR3, kIntAlu},
+        {"sub", kR3, kIntAlu},
+        {"subu", kR3, kIntAlu},
+        {"and", kR3, kIntAlu},
+        {"or", kR3, kIntAlu},
+        {"xor", kR3, kIntAlu},
+        {"nor", kR3, kIntAlu},
+        {"sllv", kR3, kIntAlu},
+        {"srlv", kR3, kIntAlu},
+        {"srav", kR3, kIntAlu},
+        {"slt", kR3, kIntAlu},
+        {"sltu", kR3, kIntAlu},
+        {"addi", kRI, kIntAlu},
+        {"addiu", kRI, kIntAlu},
+        {"andi", kRI, kIntAlu},
+        {"ori", kRI, kIntAlu},
+        {"xori", kRI, kIntAlu},
+        {"slti", kRI, kIntAlu},
+        {"sltiu", kRI, kIntAlu},
+        {"lui", kLui, kIntAlu},
+        {"sll", kSh, kIntAlu},
+        {"srl", kSh, kIntAlu},
+        {"sra", kSh, kIntAlu},
+        {"mul", kR3, kIntMult},
+        {"div", kR3, kIntDiv},
+        {"rem", kR3, kIntDiv},
+        {"lw", kLS, kLoad},
+        {"lh", kLS, kLoad},
+        {"lhu", kLS, kLoad},
+        {"lb", kLS, kLoad},
+        {"lbu", kLS, kLoad},
+        {"sw", kLS, kStore},
+        {"sh", kLS, kStore},
+        {"sb", kLS, kStore},
+        {"ldc1", kLS, kLoad},
+        {"sdc1", kLS, kStore},
+        {"lwc1", kLS, kLoad},
+        {"swc1", kLS, kStore},
+        {"beq", kBr2, kBranch},
+        {"bne", kBr2, kBranch},
+        {"blez", kBr1, kBranch},
+        {"bgtz", kBr1, kBranch},
+        {"bltz", kBr1, kBranch},
+        {"bgez", kBr1, kBranch},
+        {"j", Format::kJ, kBranch},
+        {"jal", Format::kJ, kBranch},
+        {"jr", kJr, kBranch},
+        {"jalr", Format::kJalr, kBranch},
+        {"add.s", kR3, kFpAddSP},
+        {"sub.s", kR3, kFpAddSP},
+        {"mul.s", kR3, kFpMulSP},
+        {"div.s", kR3, kFpDivSP},
+        {"add.d", kR3, kFpAddDP},
+        {"sub.d", kR3, kFpAddDP},
+        {"mul.d", kR3, kFpMulDP},
+        {"div.d", kR3, kFpDivDP},
+        {"mov.d", kR2, kFpMove},
+        {"neg.d", kR2, kFpMove},
+        {"abs.d", kR2, kFpMove},
+        {"cvt.d.w", kR2, kFpMove},
+        {"cvt.w.d", kR2, kFpMove},
+        {"c.lt.d", kR3, kFpMove},
+        {"c.le.d", kR3, kFpMove},
+        {"c.eq.d", kR3, kFpMove},
+        {"release", kRel, kRelease},
+        {"syscall", kNone, kSyscall},
+        {"nop", kNone, InstClass::kNop},
+    }};
+}
+
+} // namespace detail
+
+/** Static facts of every opcode, one indexed load away. */
+inline constexpr std::array<OpInfo, kNumOps> kOpTable = detail::makeOpTable();
+
 /** @return the static description of @p op. */
-const OpInfo &opInfo(Opcode op);
+constexpr const OpInfo &
+opInfo(Opcode op)
+{
+    const auto idx = std::size_t(op);
+    if (idx >= kNumOps) [[unlikely]]
+        detail::badOpcode(idx);
+    return kOpTable[idx];
+}
 
 /** @return the opcode for a mnemonic, if it names a real instruction. */
 std::optional<Opcode> parseMnemonic(std::string_view mnemonic);
 
 /** @return the functional unit an instruction class executes on. */
-FuKind fuKind(InstClass cls);
+constexpr FuKind
+fuKind(InstClass cls)
+{
+    switch (cls) {
+      case InstClass::kIntAlu:
+      case InstClass::kRelease:
+      case InstClass::kSyscall:
+      case InstClass::kNop:
+        return FuKind::kSimpleInt;
+      case InstClass::kIntMult:
+      case InstClass::kIntDiv:
+        return FuKind::kComplexInt;
+      case InstClass::kLoad:
+      case InstClass::kStore:
+        return FuKind::kMem;
+      case InstClass::kBranch:
+        return FuKind::kBranch;
+      default:
+        return FuKind::kFp;
+    }
+}
 
 /**
  * @return the execution latency in cycles of an instruction class,
@@ -119,13 +239,56 @@ FuKind fuKind(InstClass cls);
  * generation component; the memory access itself is timed by the
  * cache hierarchy.
  */
-unsigned execLatency(InstClass cls);
+constexpr unsigned
+execLatency(InstClass cls)
+{
+    switch (cls) {
+      case InstClass::kIntAlu:
+      case InstClass::kRelease:
+      case InstClass::kSyscall:
+      case InstClass::kNop:
+        return 1;
+      case InstClass::kIntMult:
+        return 4;
+      case InstClass::kIntDiv:
+        return 12;
+      case InstClass::kLoad:
+        return 1;  // address generation; cache supplies access time
+      case InstClass::kStore:
+        return 1;
+      case InstClass::kBranch:
+        return 1;
+      case InstClass::kFpAddSP:
+        return 2;
+      case InstClass::kFpMulSP:
+        return 4;
+      case InstClass::kFpDivSP:
+        return 12;
+      case InstClass::kFpAddDP:
+        return 2;
+      case InstClass::kFpMulDP:
+        return 5;
+      case InstClass::kFpDivDP:
+        return 18;
+      case InstClass::kFpMove:
+        return 1;
+    }
+    detail::badClass(cls);
+}
 
 /** @return true for conditional branches and jumps. */
-bool isControl(InstClass cls);
+constexpr bool
+isControl(InstClass cls)
+{
+    return cls == InstClass::kBranch;
+}
 
 /** @return true for loads and stores. */
-bool isMem(InstClass cls);
+constexpr bool
+isMem(InstClass cls)
+{
+    return cls == InstClass::kLoad || cls == InstClass::kStore;
+}
 
 } // namespace msim::isa
 

@@ -75,7 +75,7 @@ class BankedDataCache
         Cycle grant = now;
         if (bankBusyUntil_[bank] > grant) {
             grant = bankBusyUntil_[bank];
-            xbarStats_->add("conflictCycles", grant - now);
+            *conflictCycles_ += grant - now;
             if (tracer_ && tracer_->wants(TraceCat::kCache)) {
                 tracer_->instant(TraceCat::kCache, "bank_conflict", now,
                                  kTidDcacheBase + bank, "wait",
@@ -84,7 +84,7 @@ class BankedDataCache
         }
         // Banks are pipelined: they accept one access per cycle.
         bankBusyUntil_[bank] = grant + 1;
-        xbarStats_->add("accesses");
+        ++*accesses_;
         return banks_[bank]->access(grant, bankLocalAddr(addr), write,
                                     addr);
     }
@@ -139,7 +139,9 @@ class BankedDataCache
                               params_.hitLatency},
                 tracer_, kTidDcacheBase + b));
         }
-        xbarStats_ = &stats.group("crossbar");
+        StatGroup &xbar = stats.group("crossbar");
+        conflictCycles_ = &xbar.counter("conflictCycles");
+        accesses_ = &xbar.counter("accesses");
     }
 
     /** Only set by the MemoryBus convenience constructor. */
@@ -147,7 +149,9 @@ class BankedDataCache
     Params params_;
     std::vector<std::unique_ptr<Cache>> banks_;
     std::vector<Cycle> bankBusyUntil_;
-    StatGroup *xbarStats_;
+    /** Crossbar counters, bound once in init(). */
+    std::uint64_t *conflictCycles_ = nullptr;
+    std::uint64_t *accesses_ = nullptr;
     Tracer *tracer_ = nullptr;
 };
 

@@ -34,7 +34,7 @@ class MemoryBus
 
     MemoryBus(StatGroup &stats, const Params &params,
               Tracer *tracer = nullptr)
-        : stats_(stats), params_(params), tracer_(tracer)
+        : stats_{stats}, params_(params), tracer_(tracer)
     {
     }
 
@@ -55,11 +55,11 @@ class MemoryBus
         Cycle service = params_.firstBeatLatency +
                         (beats - 1) * params_.extraBeatLatency;
         Cycle done = start + service;
-        stats_.add("requests");
-        stats_.add("words", words);
-        stats_.add("busyCycles", service);
+        ++stats_.requests;
+        stats_.words += words;
+        stats_.busyCycles += service;
         if (start > now)
-            stats_.add("contentionCycles", start - now);
+            stats_.contentionCycles += start - now;
         busFreeAt_ = done;
         if (tracer_ && tracer_->wants(TraceCat::kBus)) {
             tracer_->complete(TraceCat::kBus, "xfer", start, service,
@@ -75,7 +75,17 @@ class MemoryBus
     void reset() { busFreeAt_ = 0; }
 
   private:
-    StatGroup &stats_;
+    /** Counters bound once in the bus's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &requests = group.counter("requests");
+        std::uint64_t &words = group.counter("words");
+        std::uint64_t &busyCycles = group.counter("busyCycles");
+        std::uint64_t &contentionCycles = group.counter("contentionCycles");
+    };
+
+    Counters stats_;
     Params params_;
     Tracer *tracer_;
     Cycle busFreeAt_ = 0;

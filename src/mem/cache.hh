@@ -46,7 +46,7 @@ class Cache
 
     Cache(StatGroup &stats, MemLevel &next, const Params &params,
           Tracer *tracer = nullptr, std::uint32_t trace_tid = 0)
-        : stats_(stats), next_(&next), params_(params), tracer_(tracer),
+        : stats_{stats}, next_(&next), params_(params), tracer_(tracer),
           traceTid_(trace_tid)
     {
         checkGeometry();
@@ -56,7 +56,7 @@ class Cache
     Cache(StatGroup &stats, MemoryBus &bus, const Params &params,
           Tracer *tracer = nullptr, std::uint32_t trace_tid = 0)
         : ownedNext_(std::make_unique<BusMemLevel>(bus)),
-          stats_(stats), next_(ownedNext_.get()), params_(params),
+          stats_{stats}, next_(ownedNext_.get()), params_(params),
           tracer_(tracer), traceTid_(trace_tid)
     {
         checkGeometry();
@@ -80,13 +80,13 @@ class Cache
         Line &line = lines_[index];
 
         if (line.valid && line.tag == block) {
-            stats_.add(write ? "writeHits" : "readHits");
+            ++(write ? stats_.writeHits : stats_.readHits);
             if (write)
                 line.dirty = true;
             return now + params_.hitLatency;
         }
 
-        stats_.add(write ? "writeMisses" : "readMisses");
+        ++(write ? stats_.writeMisses : stats_.readMisses);
         if (tracer_ && tracer_->wants(TraceCat::kCache)) {
             tracer_->instant(TraceCat::kCache,
                              write ? "write_miss" : "read_miss", now,
@@ -97,7 +97,7 @@ class Cache
             line.memBlock * Addr(params_.blockBytes);
         Cycle start = now;
         if (line.valid && line.dirty) {
-            stats_.add("writebacks");
+            ++stats_.writebacks;
             start = next_->writebackBlock(now, victim_addr,
                                           block_words);
         } else if (line.valid) {
@@ -178,9 +178,20 @@ class Cache
         lines_.resize(numBlocks_);
     }
 
+    /** Counters bound once in this cache's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &readHits = group.counter("readHits");
+        std::uint64_t &writeHits = group.counter("writeHits");
+        std::uint64_t &readMisses = group.counter("readMisses");
+        std::uint64_t &writeMisses = group.counter("writeMisses");
+        std::uint64_t &writebacks = group.counter("writebacks");
+    };
+
     /** Only set by the MemoryBus convenience constructor. */
     std::unique_ptr<MemLevel> ownedNext_;
-    StatGroup &stats_;
+    Counters stats_;
     MemLevel *next_;
     Params params_;
     Tracer *tracer_ = nullptr;

@@ -9,7 +9,7 @@ namespace msim {
 
 L2Cache::L2Cache(StatGroup &stats, MemoryBus &bus,
                  const L2Params &params, Tracer *tracer)
-    : stats_(stats), bus_(bus), params_(params), tracer_(tracer)
+    : stats_{stats}, bus_(bus), params_(params), tracer_(tracer)
 {
     fatalIf(params.numBanks == 0, "L2 needs at least one bank");
     fatalIf(params.assoc == 0, "L2 needs at least one way");
@@ -34,7 +34,7 @@ L2Cache::grantBank(Bank &bank, Cycle now)
 {
     Cycle grant = now;
     if (bank.busyUntil > grant) {
-        stats_.add("bankConflictCycles", bank.busyUntil - grant);
+        stats_.bankConflictCycles += bank.busyUntil - grant;
         grant = bank.busyUntil;
     }
     bank.busyUntil = grant + 1;
@@ -91,8 +91,8 @@ L2Cache::allocMshr(Bank &bank, Cycle grant)
                 return a.readyAt < b.readyAt;
             });
         const Cycle freed = earliest->readyAt;
-        stats_.add("mshrStalls");
-        stats_.add("mshrStallCycles", freed - grant);
+        ++stats_.mshrStalls;
+        stats_.mshrStallCycles += freed - grant;
         if (tracer_ && tracer_->wants(TraceCat::kCache)) {
             tracer_->instant(TraceCat::kCache, "l2_mshr_full", grant,
                              kTidL2Base, "wait", freed - grant);
@@ -118,7 +118,7 @@ L2Cache::evictFor(Bank &bank, std::size_t set, Cycle start,
         if (victim == nullptr || base[w].lru < victim->lru)
             victim = &base[w];
     }
-    stats_.add("evictions");
+    ++stats_.evictions;
     bool dirty = victim->dirty;
     if (params_.inclusion == L2Inclusion::kInclusive &&
         backInvalidate_) {
@@ -126,10 +126,10 @@ L2Cache::evictFor(Bank &bank, std::size_t set, Cycle start,
         // copy folds its data into this victim's writeback.
         if (backInvalidate_(victim->memBlock * Addr(params_.blockBytes)))
             dirty = true;
-        stats_.add("backInvalidations");
+        ++stats_.backInvalidations;
     }
     if (dirty) {
-        stats_.add("writebacks");
+        ++stats_.writebacks;
         start = bus_.request(start,
                              unsigned(params_.blockBytes / 4));
     }
@@ -164,21 +164,21 @@ L2Cache::fetchBlock(Cycle now, Addr addr, unsigned words)
             m != nullptr && m->readyAt > grant) {
             // Secondary miss: the block is already being filled;
             // ride the outstanding MSHR instead of a new request.
-            stats_.add("mshrMerges");
+            ++stats_.mshrMerges;
             ready = std::max(ready, m->readyAt + params_.hitLatency);
         } else {
-            stats_.add("readHits");
+            ++stats_.readHits;
         }
         if (params_.inclusion == L2Inclusion::kExclusive) {
             // The block moves up: hand it to the L1 and drop it
             // here. A dirty copy is flushed to memory in the
             // background (the response is not delayed).
             if (way->dirty) {
-                stats_.add("writebacks");
+                ++stats_.writebacks;
                 bus_.request(grant, unsigned(params_.blockBytes / 4));
             }
             way->valid = false;
-            stats_.add("exclusiveSupplies");
+            ++stats_.exclusiveSupplies;
         }
         return ready;
     }
@@ -188,11 +188,11 @@ L2Cache::fetchBlock(Cycle now, Addr addr, unsigned words)
         // Secondary miss without a resident line (exclusive never
         // allocates on fill; other policies can evict a line whose
         // fill is still in flight): merge with the outstanding MSHR.
-        stats_.add("mshrMerges");
+        ++stats_.mshrMerges;
         return std::max(grant, m->readyAt) + params_.hitLatency;
     }
 
-    stats_.add("readMisses");
+    ++stats_.readMisses;
     if (tracer_ && tracer_->wants(TraceCat::kCache)) {
         tracer_->instant(TraceCat::kCache, "l2_read_miss", now,
                          kTidL2Base, "addr", addr);
@@ -226,7 +226,7 @@ L2Cache::writebackBlock(Cycle now, Addr addr, unsigned words)
     const Cycle grant = grantBank(bank, now);
 
     if (Way *way = lookup(bank, local_block)) {
-        stats_.add("writeHits");
+        ++stats_.writeHits;
         way->dirty = true;
         way->lru = ++lruClock_;
         return grant + params_.hitLatency;
@@ -234,7 +234,7 @@ L2Cache::writebackBlock(Cycle now, Addr addr, unsigned words)
 
     // An L1 victim carries the whole block, so a writeback miss
     // allocates without fetching from memory (no MSHR needed).
-    stats_.add("writeMisses");
+    ++stats_.writeMisses;
     const std::size_t set = std::size_t(local_block) & (setsPerBank_ - 1);
     Way *way = nullptr;
     const Cycle start = evictFor(bank, set, grant, &way);
@@ -258,7 +258,7 @@ L2Cache::cleanEviction(Cycle now, Addr addr, unsigned words)
         way->lru = ++lruClock_;
         return;
     }
-    stats_.add("victimAllocations");
+    ++stats_.victimAllocations;
     const std::size_t set = std::size_t(local_block) & (setsPerBank_ - 1);
     Way *way = nullptr;
     (void)evictFor(bank, set, grant, &way);

@@ -148,7 +148,27 @@ class L2Cache : public MemLevel
     void install(Way &way, Addr local_block, Addr mem_block,
                  bool dirty);
 
-    StatGroup &stats_;
+    /** Counters bound once in the L2's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &readHits = group.counter("readHits");
+        std::uint64_t &readMisses = group.counter("readMisses");
+        std::uint64_t &writeHits = group.counter("writeHits");
+        std::uint64_t &writeMisses = group.counter("writeMisses");
+        std::uint64_t &mshrMerges = group.counter("mshrMerges");
+        std::uint64_t &mshrStalls = group.counter("mshrStalls");
+        std::uint64_t &mshrStallCycles = group.counter("mshrStallCycles");
+        std::uint64_t &bankConflictCycles =
+            group.counter("bankConflictCycles");
+        std::uint64_t &evictions = group.counter("evictions");
+        std::uint64_t &writebacks = group.counter("writebacks");
+        std::uint64_t &backInvalidations = group.counter("backInvalidations");
+        std::uint64_t &exclusiveSupplies = group.counter("exclusiveSupplies");
+        std::uint64_t &victimAllocations = group.counter("victimAllocations");
+    };
+
+    Counters stats_;
     MemoryBus &bus_;
     L2Params params_;
     Tracer *tracer_ = nullptr;

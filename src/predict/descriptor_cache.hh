@@ -23,7 +23,7 @@ class DescriptorCache
   public:
     DescriptorCache(StatGroup &stats, MemoryBus &bus,
                     unsigned entries = 1024)
-        : stats_(stats), bus_(bus), tags_(entries, kBadAddr)
+        : stats_{stats}, bus_(bus), tags_(entries, kBadAddr)
     {
         fatalIf(entries == 0, "descriptor cache needs entries");
     }
@@ -38,10 +38,10 @@ class DescriptorCache
     {
         const size_t idx = size_t(addr / kInstrBytes) % tags_.size();
         if (tags_[idx] == addr) {
-            stats_.add("hits");
+            ++stats_.hits;
             return now + 1;
         }
-        stats_.add("misses");
+        ++stats_.misses;
         tags_[idx] = addr;
         // A descriptor is 4 words (mask, targets); one bus beat.
         return bus_.request(now, 4) + 1;
@@ -55,7 +55,15 @@ class DescriptorCache
     }
 
   private:
-    StatGroup &stats_;
+    /** Counters bound once in the cache's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &hits = group.counter("hits");
+        std::uint64_t &misses = group.counter("misses");
+    };
+
+    Counters stats_;
     MemoryBus &bus_;
     std::vector<Addr> tags_;
 };

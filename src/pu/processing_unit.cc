@@ -31,7 +31,7 @@ isBarrier(const Instruction &inst)
 ProcessingUnit::ProcessingUnit(unsigned id, const PuConfig &config,
                                PuContext &ctx, StatGroup &stats,
                                CycleAccounting *acct, Tracer *tracer)
-    : id_(id), config_(config), ctx_(ctx), stats_(stats), acct_(acct),
+    : id_(id), config_(config), ctx_(ctx), stats_{stats}, acct_(acct),
       tracer_(tracer),
       occupancyName_("pu" + std::to_string(id) + ".occupancy")
 {
@@ -83,7 +83,7 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     oracleArmed_ = false;
     writtenMask_ = RegMask();
     explicitFwdMask_ = RegMask();
-    stats_.add("tasksAssigned");
+    ++stats_.tasksAssigned;
 }
 
 void
@@ -108,7 +108,7 @@ ProcessingUnit::flush()
     awaitRedirect_ = false;
     fetchEnabled_ = false;
     status_ = Status::kFree;
-    stats_.add("tasksSquashed");
+    ++stats_.tasksSquashed;
     return out;
 }
 
@@ -135,7 +135,7 @@ ProcessingUnit::retire()
     activity_ = true;
     TaskStats out = taskStats_;
     status_ = Status::kFree;
-    stats_.add("tasksRetired");
+    ++stats_.tasksRetired;
     return out;
 }
 
@@ -209,7 +209,7 @@ ProcessingUnit::forwardValue(RegIndex reg, RegValue value)
     forwardedMask_.set(reg);
     forwardedValues_[size_t(reg)] = value;
     ctx_.forwardReg(id_, reg, value);
-    stats_.add("forwards");
+    ++stats_.forwards;
 }
 
 bool
@@ -305,7 +305,7 @@ ProcessingUnit::resolveBranch(Slot &slot, size_t index, Cycle now)
         return;
     }
     if (taken != slot.predTaken) {
-        stats_.add("branchMispredicts");
+        ++stats_.branchMispredicts;
         flushYounger(index);
         awaitRedirect_ = false;  // any younger jr was just flushed
         fetchPc_ = next;
@@ -335,7 +335,7 @@ ProcessingUnit::writeback(const Slot &slot)
         }
     }
     taskStats_.instructions += 1;
-    stats_.add("instructions");
+    ++stats_.instructions;
 }
 
 void
@@ -489,7 +489,7 @@ ProcessingUnit::tryIssue(Slot &slot, Cycle now)
             forwardValue(inst.rel2, regRead(inst.rel2));
         }
         slot.doneAt = now + 1;
-        stats_.add("releases");
+        ++stats_.releases;
         break;
       case InstClass::kNop:
         slot.doneAt = now + 1;
@@ -587,7 +587,7 @@ ProcessingUnit::fetchPhase(Cycle now)
         if (!inst) {
             // Ran off the program text (wrong path); stop fetching.
             fetchEnabled_ = false;
-            stats_.add("fetchOffText");
+            ++stats_.fetchOffText;
             return;
         }
         Fetched f;
@@ -640,7 +640,7 @@ ProcessingUnit::autoReleasePhase()
             continue;
         if (regReadReady(RegIndex(r))) {
             forwardValue(RegIndex(r), regRead(RegIndex(r)));
-            stats_.add("implicitReleases");
+            ++stats_.implicitReleases;
         }
     }
     maybeFinish();

@@ -288,11 +288,26 @@ class ProcessingUnit
     bool anyInFlight() const;
     void maybeFinish();
 
+    /** This unit's counters, bound once in its stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &tasksAssigned = group.counter("tasksAssigned");
+        std::uint64_t &tasksSquashed = group.counter("tasksSquashed");
+        std::uint64_t &tasksRetired = group.counter("tasksRetired");
+        std::uint64_t &instructions = group.counter("instructions");
+        std::uint64_t &forwards = group.counter("forwards");
+        std::uint64_t &releases = group.counter("releases");
+        std::uint64_t &implicitReleases = group.counter("implicitReleases");
+        std::uint64_t &branchMispredicts = group.counter("branchMispredicts");
+        std::uint64_t &fetchOffText = group.counter("fetchOffText");
+    };
+
     // --- identity / wiring -------------------------------------------
     unsigned id_;
     PuConfig config_;
     PuContext &ctx_;
-    StatGroup &stats_;
+    Counters stats_;
     CycleAccounting *acct_ = nullptr;
     Tracer *tracer_ = nullptr;
     /** Stable storage for this unit's trace counter name. */

@@ -44,7 +44,7 @@ class ForwardRing
   public:
     ForwardRing(StatGroup &stats, unsigned num_units, unsigned width,
                 unsigned hop_latency = 1, Tracer *tracer = nullptr)
-        : stats_(stats), numUnits_(num_units), width_(width),
+        : stats_{stats}, numUnits_(num_units), width_(width),
           hopLatency_(hop_latency), tracer_(tracer),
           outbound_(num_units), inFlight_(num_units)
     {
@@ -59,7 +59,7 @@ class ForwardRing
     {
         panicIf(from_unit >= numUnits_, "ring send from bad unit");
         outbound_[from_unit].push_back(msg);
-        stats_.add("sends");
+        ++stats_.sends;
         if (tracer_ && tracer_->wants(TraceCat::kRing)) {
             tracer_->instant(TraceCat::kRing, "forward", tracer_->now(),
                              kTidRing, "from", from_unit, "reg",
@@ -98,7 +98,7 @@ class ForwardRing
                 const unsigned dest = (u + 1) % numUnits_;
                 RingMessage msg = hop.msg;
                 msg.hops += 1;
-                stats_.add("deliveries");
+                ++stats_.deliveries;
                 bool forward_on = deliver(dest, msg);
                 if (forward_on && msg.hops < numUnits_ - 1)
                     outbound_[dest].push_back(msg);
@@ -113,7 +113,7 @@ class ForwardRing
                 outbound_[u].pop_front();
             }
             if (!outbound_[u].empty())
-                stats_.add("portStallCycles");
+                ++stats_.portStallCycles;
         }
     }
 
@@ -149,7 +149,16 @@ class ForwardRing
         unsigned cyclesLeft;
     };
 
-    StatGroup &stats_;
+    /** Counters bound once in the ring's stat group. */
+    struct Counters
+    {
+        StatGroup &group;
+        std::uint64_t &sends = group.counter("sends");
+        std::uint64_t &deliveries = group.counter("deliveries");
+        std::uint64_t &portStallCycles = group.counter("portStallCycles");
+    };
+
+    Counters stats_;
     unsigned numUnits_;
     unsigned width_;
     unsigned hopLatency_;

@@ -105,9 +105,9 @@ TEST(Stats, GroupAccumulatesAndFormats)
 {
     StatRegistry reg;
     StatGroup &g = reg.group("cache");
-    g.add("hits");
-    g.add("hits", 4);
-    g.set("misses", 7);
+    g.counter("hits") += 1;
+    g.counter("hits") += 4;
+    g.counter("misses") = 7;
     EXPECT_EQ(g.get("hits"), 5u);
     EXPECT_EQ(g.get("misses"), 7u);
     EXPECT_EQ(g.get("absent"), 0u);
@@ -118,19 +118,19 @@ TEST(Stats, GroupReferencesStayValidAcrossGrowth)
 {
     StatRegistry reg;
     StatGroup &first = reg.group("g0");
-    first.add("x");
+    first.counter("x") += 1;
     // Create many more groups; the first reference must stay valid.
     for (int i = 1; i < 100; ++i)
-        reg.group("g" + std::to_string(i)).add("y");
-    first.add("x");
+        reg.group("g" + std::to_string(i)).counter("y") += 1;
+    first.counter("x") += 1;
     EXPECT_EQ(reg.group("g0").get("x"), 2u);
 }
 
 TEST(Stats, SameNameReturnsSameGroup)
 {
     StatRegistry reg;
-    reg.group("a").add("n");
-    reg.group("a").add("n");
+    reg.group("a").counter("n") += 1;
+    reg.group("a").counter("n") += 1;
     EXPECT_EQ(reg.group("a").get("n"), 2u);
     EXPECT_EQ(reg.groups().size(), 1u);
 }

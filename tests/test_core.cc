@@ -4,14 +4,17 @@
  * returns through the RAS, control mispredicts, terminal tasks),
  * memory dependence squash-and-recover, ARB capacity policies, ring
  * latency insensitivity of results, the walk ledger across chains of
- * producers, and syscall gating at the head.
+ * producers, syscall gating at the head, and conservation between
+ * the component counters and the RunResult totals.
  */
 
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "config/machine_shape.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
+#include "sim/compiled_workload.hh"
 #include "sim/reference.hh"
 
 namespace msim {
@@ -501,6 +504,44 @@ TEST(Core, ScalarAndMultiscalarMatchReferenceOnCallReturn)
     ASSERT_TRUE(r.exited);
     EXPECT_EQ(r.output, ref.output);
     EXPECT_EQ(r.instructions, ref.instructions);
+}
+
+TEST(Core, ComponentCountersAddUpToRunTotals)
+{
+    // Every unit-level increment must land: the per-unit counters
+    // summed over the machine equal the run's committed-plus-squashed
+    // totals (the unfinished tasks at exit are folded the same way).
+    const MsConfig cfg = config::resolveShape("paper-default").ms;
+    for (const char *name : {"example", "compress"}) {
+        SCOPED_TRACE(name);
+        const auto compiled = compileWorkload(name, /*multiscalar=*/true);
+        MultiscalarProcessor proc(compiled->program, cfg);
+        if (compiled->workload.init)
+            compiled->workload.init(proc.memory(), compiled->program);
+        proc.setInput(compiled->workload.input);
+        const RunResult r = proc.run(50'000'000);
+        ASSERT_TRUE(r.exited);
+        ASSERT_EQ(r.output, compiled->workload.expected);
+
+        std::uint64_t instructions = 0;
+        std::uint64_t assigned = 0;
+        std::uint64_t sends = 0;
+        unsigned units = 0;
+        for (const StatGroup &g : proc.stats().groups()) {
+            if (g.name().starts_with("pu")) {
+                instructions += g.get("instructions");
+                assigned += g.get("tasksAssigned");
+                ++units;
+            } else if (g.name() == "ring") {
+                sends = g.get("sends");
+            }
+        }
+        EXPECT_EQ(units, cfg.numUnits);
+        EXPECT_EQ(instructions, r.instructions + r.squashedInstructions);
+        EXPECT_EQ(assigned, r.tasksRetired + r.tasksSquashed);
+        EXPECT_GT(assigned, 0u);
+        EXPECT_GT(sends, 0u);
+    }
 }
 
 } // namespace

@@ -573,8 +573,8 @@ TEST(CycleAccounting, TracedRunMatchesUntracedCycleCounts)
 TEST(StatGroup, ResetZeroesValuesButKeepsNames)
 {
     StatGroup g("g");
-    g.add("hits", 5);
-    g.add("misses");
+    g.counter("hits") += 5;
+    g.counter("misses") += 1;
     g.addToDist("lat", "p50", 7);
     g.reset();
     EXPECT_EQ(g.get("hits"), 0u);
@@ -587,6 +587,32 @@ TEST(StatGroup, ResetZeroesValuesButKeepsNames)
     ASSERT_EQ(g.dists().size(), 1u);
     EXPECT_EQ(g.dists().at("lat").count("p50"), 1u);
     EXPECT_NE(g.format().find("g.hits 0"), std::string::npos);
+}
+
+TEST(StatGroup, CounterHandleSurvivesResetAndInsertions)
+{
+    StatGroup g("g");
+    std::uint64_t &x = g.counter("x");
+    x += 3;
+    EXPECT_EQ(g.get("x"), 3u);
+    g.reset();
+    EXPECT_EQ(x, 0u);
+    // The handle still aliases the stored value after the reset...
+    x += 2;
+    EXPECT_EQ(g.get("x"), 2u);
+    // ...and after many more names are inserted around it.
+    for (int i = 0; i < 50; ++i) {
+        std::string name = "n";
+        name += std::to_string(i);
+        g.counter(name) += std::uint64_t(i);
+    }
+    ASSERT_EQ(g.scalars().size(), 51u);
+    x += 40;
+    EXPECT_EQ(g.get("x"), 42u);
+    EXPECT_EQ(&g.counter("x"), &x);
+    const std::string text = g.format();
+    EXPECT_NE(text.find("g.x 42\n"), std::string::npos);
+    EXPECT_NE(text.find("g.n49 49\n"), std::string::npos);
 }
 
 TEST(StatGroup, DistributionsAccumulateAndFormat)

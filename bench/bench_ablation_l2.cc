@@ -16,11 +16,10 @@ int
 main(int argc, char **argv)
 {
     using namespace msim::bench;
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--smoke")
-            smoke = true;
-    return benchMain(
-        argc, argv, "l2", [smoke](auto &e) { declareL2(e, smoke); },
-        [smoke](const auto &r) { reportL2(r, smoke); });
+    const BenchOptions opt = parseArgs(argc, argv);
+    Experiment experiment("l2");
+    declareL2(experiment, opt.smoke);
+    return runAndReport(experiment, opt, [&](const auto &r) {
+        reportL2(r, opt.smoke);
+    });
 }

@@ -3,12 +3,13 @@
  * Shared harness for the benchmark binaries, built on the experiment
  * engine (src/exp).
  *
- * Every table and figure of the paper's evaluation (section 5) has
- * one binary here. A binary declares its cells into an Experiment,
- * the SweepScheduler runs them on a worker pool (--jobs N /
- * MSIM_JOBS), and the report callback renders the paper-style table
- * from the deterministic SweepResult. Results are identical whatever
- * the job count; --json FILE additionally emits the msim-sweep-v1
+ * bench_paper runs the paper's whole evaluation (section 5) in one
+ * sweep; bench_ablation_l2 and bench_explore run the studies beyond
+ * it. A binary declares its cells into an Experiment, the
+ * SweepScheduler runs them on a worker pool (--jobs N / MSIM_JOBS),
+ * and the report callback renders the paper-style tables from the
+ * deterministic SweepResult. Results are identical whatever the job
+ * count; --json FILE additionally emits the msim-sweep-v1
  * machine-readable report.
  *
  * Per-cell failures are captured, not fatal: a failing cell keeps a
@@ -20,10 +21,14 @@
 #ifndef MSIM_BENCH_BENCH_COMMON_HH
 #define MSIM_BENCH_BENCH_COMMON_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,7 +57,7 @@ struct BenchOptions
     unsigned jobs = 0;
     /** When non-empty, write the msim-sweep-v1 JSON report here. */
     std::string jsonPath;
-    /** Run the reduced smoke cell set (bench_paper). */
+    /** Run the reduced smoke cell set. */
     bool smoke = false;
 };
 
@@ -67,6 +72,27 @@ printUsage(const char *argv0)
         "  --json FILE write the msim-sweep-v1 JSON report to FILE\n"
         "  --smoke     reduced cell set (CI smoke)\n",
         argv0);
+}
+
+/**
+ * Parse a --jobs value: the whole string must be a positive decimal
+ * integer that fits an unsigned. Anything else ("-1", "2x", "0", "",
+ * " 3") prints a message and exits 2.
+ */
+inline unsigned
+parseJobs(const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
+        errno == ERANGE || v == 0 ||
+        v > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "--jobs: '%s' is not a positive integer\n",
+                     text);
+        std::exit(2);
+    }
+    return unsigned(v);
 }
 
 /** Parse the shared flags; exits on bad usage. */
@@ -85,11 +111,7 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs" || arg == "-j") {
-            opt.jobs = unsigned(std::strtoul(value(), nullptr, 10));
-            if (opt.jobs == 0) {
-                std::fprintf(stderr, "--jobs must be positive\n");
-                std::exit(2);
-            }
+            opt.jobs = parseJobs(value());
         } else if (arg == "--json") {
             opt.jsonPath = value();
         } else if (arg == "--smoke") {
@@ -155,17 +177,14 @@ runExperiment(const exp::Experiment &experiment,
 }
 
 /**
- * Standard main: parse flags, declare cells, run the sweep, render
- * the paper-style report. Returns non-zero when any cell failed.
+ * The rest of a bench main once its cells are declared: run the
+ * sweep, then render the paper-style report. Returns non-zero when
+ * any cell failed or the report could not be rendered.
  */
 inline int
-benchMain(int argc, char **argv, const std::string &name,
-          const std::function<void(exp::Experiment &)> &declare,
-          const std::function<void(const exp::SweepResult &)> &report)
+runAndReport(const exp::Experiment &experiment, const BenchOptions &opt,
+             const std::function<void(const exp::SweepResult &)> &report)
 {
-    const BenchOptions opt = parseArgs(argc, argv);
-    exp::Experiment experiment(name);
-    declare(experiment);
     const exp::SweepResult sweep = runExperiment(experiment, opt);
     try {
         report(sweep);

@@ -84,12 +84,7 @@ main(int argc, char **argv)
     const BenchOptions opt = parseArgs(argc, argv);
     exp::Experiment experiment(opt.smoke ? "paper-smoke" : "paper");
     declarePaper(experiment, opt.smoke);
-    const exp::SweepResult sweep = runExperiment(experiment, opt);
-    try {
-        reportPaper(sweep, opt.smoke);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "report incomplete: %s\n", e.what());
-        return 1;
-    }
-    return sweep.failures() == 0 ? 0 : 1;
+    return runAndReport(experiment, opt, [&](const auto &r) {
+        reportPaper(r, opt.smoke);
+    });
 }

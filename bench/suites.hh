@@ -2,11 +2,11 @@
  * @file
  * Cell declarations and paper-style reports for every evaluation
  * suite: Tables 2-4, the section 3 cycle breakdown, and the six
- * ablations. Each suite is a (declare, report) pair over the
- * experiment engine; the per-table binaries run one suite each and
- * bench_paper runs all of them in a single sweep. Declarations take
- * a workload list so smoke runs can shrink the grid without changing
- * the cell naming scheme.
+ * ablations, plus the shared-L2 study beyond the paper. Each suite is
+ * a (declare, report) pair over the experiment engine; bench_paper
+ * runs every paper suite in a single sweep and bench_ablation_l2 runs
+ * the L2 suite. Declarations take a workload list so smoke runs can
+ * shrink the grid without changing the cell naming scheme.
  *
  * Every machine configuration comes from a shipped declarative shape
  * (the shapes/ directory, resolved through src/config) rather than
@@ -36,6 +36,15 @@ using exp::SweepResult;
 // Table 2: dynamic instruction counts, scalar vs multiscalar.
 // ---------------------------------------------------------------------
 
+/**
+ * Table 2: the dynamic instruction counts of the scalar and the
+ * multiscalar binary of each benchmark. The extra multiscalar
+ * instructions "serve to ensure correct execution (such as the use
+ * of release instructions) or to enhance performance (such as the
+ * creation of local copies of loop induction variables)". Both
+ * binaries come from the same source: lines prefixed @ms exist only
+ * in the multiscalar assembly.
+ */
 inline void
 declareTable2(Experiment &e,
               const std::vector<std::string> &names = kPaperOrder)
@@ -125,6 +134,16 @@ reportTable34(const SweepResult &r, const std::string &table,
 // Section 3: distribution of unit cycles (8-unit, 1-way, in-order).
 // ---------------------------------------------------------------------
 
+/**
+ * Section 3's analysis of the available unit cycles: useful
+ * computation, squashed computation, no-computation cycles (waiting
+ * for predecessor values over the ring, on memory, on intra-task
+ * latency, on fetch or for retirement) and idle cycles. The numbers
+ * come from the exact cycle accounting (trace/cycle_accounting.hh),
+ * which classifies every unit-cycle exactly once, so each row sums to
+ * 100% by construction; reportBreakdown re-checks the sum per
+ * workload.
+ */
 inline void
 declareBreakdown(Experiment &e,
                  const std::vector<std::string> &names = kPaperOrder)
@@ -194,6 +213,12 @@ reportBreakdown(const SweepResult &r,
 inline const std::vector<std::string> kPredictorKinds = {"pas", "last",
                                                          "static"};
 
+/**
+ * The paper's sequencer uses a PAs two-level predictor with a return
+ * address stack (section 5.1); compare it with a last-target
+ * predictor and a static predict-target-0 policy on the 8-unit
+ * machine.
+ */
 inline void
 declarePredictor(Experiment &e,
                  const std::vector<std::string> &names = kPaperOrder)
@@ -237,6 +262,11 @@ reportPredictor(const SweepResult &r,
 
 inline const std::vector<unsigned> kUnitCounts = {1, 2, 4, 8, 16};
 
+/**
+ * The paper evaluates 4- and 8-unit machines; sweeping 1 to 16 units
+ * shows where each workload's parallelism saturates, and where squash
+ * behaviour makes more units useless.
+ */
 inline void
 declareUnits(Experiment &e,
              const std::vector<std::string> &names = kPaperOrder)
@@ -281,6 +311,12 @@ inline const std::vector<std::string> kRingBenches = {
     "wc", "eqntott", "compress", "example"};
 inline const std::vector<unsigned> kRingHops = {1, 2, 3, 4};
 
+/**
+ * The paper's ring takes one cycle per hop between adjacent units
+ * (section 5.1); sweeping 1-4 cycles per hop on
+ * register-communication-heavy workloads shows how much inter-task
+ * register traffic tolerates slower forwarding.
+ */
 inline void
 declareRing(Experiment &e,
             const std::vector<std::string> &names = kRingBenches)
@@ -325,6 +361,12 @@ inline const std::vector<std::string> kArbBenches = {"example", "sc",
                                                      "gcc", "compress"};
 inline const std::vector<unsigned> kArbEntries = {4, 16, 64, 256};
 
+/**
+ * Section 2.3 gives two responses to a full ARB: squash tasks to
+ * reclaim entries (the simple solution) or stall every unit but the
+ * head (the less drastic alternative). Sweep the entries per bank
+ * under both policies on the memory-hungry workloads.
+ */
 inline void
 declareArb(Experiment &e,
            const std::vector<std::string> &names = kArbBenches)
@@ -377,6 +419,13 @@ reportArb(const SweepResult &r,
 // Ablation: intra-unit branch prediction (static vs bimodal).
 // ---------------------------------------------------------------------
 
+/**
+ * Branches inside a task need not be predicted by the sequencer
+ * "unless they are predicted separately within the processing unit"
+ * (section 4.1). The baseline units use a static stop-bit-aware
+ * policy; this adds a per-unit bimodal predictor that steers fetch,
+ * on the scalar machine and on the 8-unit multiscalar machine.
+ */
 inline void
 declareIntraBp(Experiment &e,
                const std::vector<std::string> &names = kPaperOrder)
@@ -415,10 +464,32 @@ reportIntraBp(const SweepResult &r,
 }
 
 // ---------------------------------------------------------------------
-// Ablation: the paper's software-side techniques (fixed cells; see
-// bench_ablation_software.cc for the section-by-section story).
+// Ablation: the paper's software-side techniques (fixed cells).
 // ---------------------------------------------------------------------
 
+/**
+ * The paper's software-side techniques, each toggled through the
+ * one-source/two-variants mechanism:
+ *
+ *  - dead register analysis (section 2.2): the example workload with
+ *    the conservative Figure 4 mask {$4,$8,$17,$20,$23} plus
+ *    explicit releases (the default) vs the minimal create mask
+ *    {$20} after dead-register analysis (define OPTMASK);
+ *
+ *  - work-list restructuring for load balance (section 3.2.3 and the
+ *    sc discussion in 5.3): sc's restructured work-list loop vs the
+ *    original loop over all (mostly empty) cells (define SCGRID);
+ *
+ *  - synchronization of data communication (section 3.1.1): gcc with
+ *    its hot global carried in a forwarded register (define SYNC)
+ *    instead of loaded early from memory, so memory order squashes
+ *    all but disappear, traded for an inter-task register dependence;
+ *
+ *  - early validation of prediction (section 3.1.2): wc restructured
+ *    to test the loop exit at the top of the task (define EARLYV), so
+ *    the mispredicted extra iteration squashes within cycles instead
+ *    of after a full chunk scan.
+ */
 inline void
 declareSoftware(Experiment &e)
 {

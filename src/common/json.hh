@@ -1,21 +1,15 @@
 /**
  * @file
- * A small JSON value type, parser and writer, shared by the machine
- * shape configuration layer (src/config) and the msim-rpc-v1
- * protocol (src/server). Self-contained on purpose: inputs arrive
- * from untrusted sockets and user-edited shape files, so the parser
- * is strict (full RFC 8259 grammar, no extensions), bounds its
- * recursion depth, and reports every syntax error as a
- * json::ParseError with the byte offset — callers map those to
- * structured errors (`parse_error` responses, shape diagnostics)
- * instead of crashing.
+ * A small JSON value type, parser and writer for the machine shape
+ * configuration layer (src/config) and the explorer's report
+ * (src/exp/explore). Self-contained on purpose: inputs arrive from
+ * user-edited shape files, so the parser is strict (full RFC 8259
+ * grammar, no extensions), bounds its recursion depth, and reports
+ * every syntax error as a json::ParseError with the byte offset;
+ * callers map those to structured shape diagnostics instead of
+ * crashing.
  *
- * The namespace stays `msim::json` (not `msim::common::json`): the
- * library started life in src/server and every call site spells the
- * short name; the header's home directory is the only thing the
- * hoist to src/common changed.
- *
- * Objects preserve insertion order (deterministic wire output) and
+ * Objects preserve insertion order (deterministic output) and
  * lookups return the first entry with the key. Numbers remember
  * whether they were written as integers so counters round-trip
  * without a decimal point.

@@ -447,8 +447,7 @@ busToJson(const MemoryBus::Params &bus)
     return v;
 }
 
-} // namespace
-
+/** Parse a shape from its JSON document (strict; throws ConfigError). */
 MachineShape
 shapeFromJson(const json::Value &doc)
 {
@@ -488,6 +487,8 @@ shapeFromJson(const json::Value &doc)
     }
     return shape;
 }
+
+} // namespace
 
 json::Value
 shapeToJson(const MachineShape &shape)
@@ -631,21 +632,15 @@ resolveShape(const std::string &name_or_path)
         .first->second;
 }
 
-void
-applyShape(RunSpec &spec, const MachineShape &shape)
+RunSpec
+toRunSpec(const MachineShape &shape)
 {
+    RunSpec spec;
     spec.multiscalar = shape.multiscalar;
     if (shape.multiscalar)
         spec.ms = shape.ms;
     else
         spec.scalar = shape.scalar;
-}
-
-RunSpec
-toRunSpec(const MachineShape &shape)
-{
-    RunSpec spec;
-    applyShape(spec, shape);
     return spec;
 }
 

@@ -17,11 +17,10 @@
  * returned — a typo can never silently simulate a default machine.
  *
  * Shapes ship as files in <repo>/shapes (one per named preset;
- * overridable with $MSIM_SHAPE_DIR) and double as inline "machine"
- * objects in msim-rpc-v1 run/sweep requests. Serialization is
- * canonical (full form, fixed key order), so parse → serialize →
- * parse is the identity and shape equality is string equality of the
- * canonical dumps.
+ * overridable with $MSIM_SHAPE_DIR). Serialization is canonical
+ * (full form, fixed key order), so parse → serialize → parse is the
+ * identity and shape equality is string equality of the canonical
+ * dumps.
  */
 
 #ifndef MSIM_CONFIG_MACHINE_SHAPE_HH
@@ -70,9 +69,6 @@ struct MachineShape
     ScalarConfig scalar;
 };
 
-/** Parse a shape from its JSON document (strict; throws ConfigError). */
-MachineShape shapeFromJson(const json::Value &doc);
-
 /** Serialize the canonical full form (fixed key order, all fields). */
 json::Value shapeToJson(const MachineShape &shape);
 
@@ -101,9 +97,6 @@ std::vector<std::string> listShapeNames();
  * ConfigError listing the available names. Thread-safe.
  */
 const MachineShape &resolveShape(const std::string &name_or_path);
-
-/** Apply @p shape to @p spec (sets the mode and the machine config). */
-void applyShape(RunSpec &spec, const MachineShape &shape);
 
 /** A RunSpec running @p shape with all other knobs at defaults. */
 RunSpec toRunSpec(const MachineShape &shape);

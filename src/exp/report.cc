@@ -101,11 +101,14 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+namespace {
+
+/** One msim-sweep-v1 cell row, an element of the "cells" array. */
 void
-writeJsonCell(std::ostream &os, const CellResult &c,
-              const std::string &indent)
+writeJsonCell(std::ostream &os, const CellResult &c)
 {
     const RunResult &r = c.result;
+    const std::string indent = "    ";
     const std::string in = indent + "  ";
     os << indent << "{\n";
     os << in << "\"name\": \"" << jsonEscape(c.name) << "\",\n";
@@ -143,6 +146,8 @@ writeJsonCell(std::ostream &os, const CellResult &c,
     os << "}\n";
     os << indent << "}";
 }
+
+} // namespace
 
 void
 writeJsonReport(std::ostream &os, const SweepResult &sweep)

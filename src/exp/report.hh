@@ -57,15 +57,6 @@ class ReportTable
  */
 void writeJsonReport(std::ostream &os, const SweepResult &sweep);
 
-/**
- * Write one msim-sweep-v1 cell row (the objects of the report's
- * "cells" array) with every line prefixed by @p indent. Shared with
- * msim-server, which streams exactly these rows as sweep cells
- * complete so a client can reassemble a full msim-sweep-v1 report.
- */
-void writeJsonCell(std::ostream &os, const CellResult &cell,
-                   const std::string &indent = "    ");
-
 /** JSON-escape a string (exposed for tests). */
 std::string jsonEscape(const std::string &s);
 

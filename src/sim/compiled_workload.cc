@@ -59,8 +59,6 @@ compileWorkload(const workloads::Workload &workload, bool multiscalar,
     cw->multiscalar = multiscalar;
     cw->defines = defines;
     cw->scale = scale;
-    cw->contentHash =
-        workloadContentHash(workload, multiscalar, defines, scale);
     return cw;
 }
 
@@ -135,16 +133,6 @@ ProgramCache::get(const std::string &name, bool multiscalar,
     return future.get();
 }
 
-bool
-ProgramCache::contains(const std::string &name, bool multiscalar,
-                       const std::set<std::string> &defines,
-                       unsigned scale) const
-{
-    const std::string k = key(name, multiscalar, defines, scale);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.count(k) != 0;
-}
-
 std::uint64_t
 ProgramCache::hits() const
 {
@@ -157,13 +145,6 @@ ProgramCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return misses_;
-}
-
-std::size_t
-ProgramCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
 }
 
 void

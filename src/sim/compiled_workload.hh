@@ -59,12 +59,6 @@ struct CompiledWorkload
     std::set<std::string> defines;
     /** Input scale the workload was built with. */
     unsigned scale = 1;
-    /**
-     * Content hash of (source, mode, defines, scale) — the
-     * ProgramCache addressing key, also surfaced by msim-server so
-     * clients can observe cache identity.
-     */
-    std::uint64_t contentHash = 0;
 };
 
 /**
@@ -112,12 +106,6 @@ class ProgramCache
     std::uint64_t hits() const;
     /** Lookups that triggered an assembly (== distinct keys seen). */
     std::uint64_t misses() const;
-    /** Entries currently resident. */
-    std::size_t size() const;
-    /** True when the compilation point is already resident. */
-    bool contains(const std::string &name, bool multiscalar,
-                  const std::set<std::string> &defines = {},
-                  unsigned scale = 1) const;
     /** Drop every entry and reset the counters. */
     void clear();
 

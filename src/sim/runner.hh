@@ -38,9 +38,8 @@ namespace msim {
  * Thrown by runCompiled when a run stops because it exhausted its
  * cycle budget (RunSpec::maxCycles) instead of exiting. A FatalError
  * subclass, so existing catch sites keep working, but it additionally
- * carries the budget and the cycles actually consumed so callers
- * (msim-server's `budget_exhausted` protocol error in particular) can
- * tell clients exactly how much to raise the budget on retry.
+ * carries the budget and the cycles actually consumed so callers can
+ * tell exactly how much to raise the budget on retry.
  */
 class BudgetExhaustedError : public FatalError
 {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common utilities: RegMask, SatCounter, the
- * statistics registry, the deterministic RNG, and the RingFifo
- * circular buffer used on the simulation hot path.
+ * statistics registry, the deterministic RNG, the RingFifo
+ * circular buffer used on the simulation hot path, and the strict
+ * JSON value/parser behind shapes and sweep reports.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <deque>
 
 #include "common/fifo.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/reg_mask.hh"
 #include "common/rng.hh"
@@ -295,6 +297,66 @@ TEST(RingFifo, MatchesDequeUnderRandomOperations)
         }
         ASSERT_EQ(f.size(), ref.size());
     }
+}
+
+// ---------------------------------------------------------------------
+// JSON: parser, writer, strictness.
+// ---------------------------------------------------------------------
+
+using json::Value;
+
+TEST(Json, RoundTripsDocuments)
+{
+    const std::string text =
+        "{\"a\":1,\"b\":[true,null,\"x\"],\"c\":{\"d\":-2.5}}";
+    const Value v = Value::parse(text);
+    EXPECT_EQ(v.dump(), text);
+}
+
+TEST(Json, PreservesIntegers)
+{
+    const Value v = Value::parse("[1000000000000, 0, -7]");
+    EXPECT_EQ(v.dump(), "[1000000000000,0,-7]");
+    EXPECT_EQ(v.items()[0].asInt(), 1000000000000ll);
+}
+
+TEST(Json, DecodesEscapesAndSurrogatePairs)
+{
+    const Value v = Value::parse("\"a\\n\\t\\u0041\\uD83D\\uDE00\"");
+    EXPECT_EQ(v.asString(), "a\n\tA\xF0\x9F\x98\x80");
+}
+
+TEST(Json, ObjectLookupIsInsertionOrdered)
+{
+    Value v = Value::object();
+    v.set("z", Value(1));
+    v.set("a", Value(2));
+    EXPECT_EQ(v.dump(), "{\"z\":1,\"a\":2}");
+    ASSERT_NE(v.find("a"), nullptr);
+    EXPECT_EQ(v.find("a")->asInt(), 2);
+    EXPECT_EQ(v.find("missing"), nullptr);
+}
+
+TEST(Json, RejectsMalformedText)
+{
+    EXPECT_THROW(Value::parse(""), json::ParseError);
+    EXPECT_THROW(Value::parse("{"), json::ParseError);
+    EXPECT_THROW(Value::parse("{\"a\":}"), json::ParseError);
+    EXPECT_THROW(Value::parse("[1,]"), json::ParseError);
+    EXPECT_THROW(Value::parse("nul"), json::ParseError);
+    EXPECT_THROW(Value::parse("1 2"), json::ParseError);  // trailing
+    EXPECT_THROW(Value::parse("\"\x01\""), json::ParseError);
+    EXPECT_THROW(Value::parse("\"\\q\""), json::ParseError);
+    EXPECT_THROW(Value::parse("{\"a\" 1}"), json::ParseError);
+    EXPECT_THROW(Value::parse("01"), json::ParseError);
+}
+
+TEST(Json, BoundsRecursionDepth)
+{
+    std::string deep(100, '[');
+    deep += std::string(100, ']');
+    EXPECT_THROW(Value::parse(deep, 64), json::ParseError);
+    EXPECT_NO_THROW(Value::parse(deep, 128));
 }
 
 } // namespace

@@ -187,6 +187,22 @@ TEST(ProgramCache, MemoizesAndCounts)
     EXPECT_EQ(cache.hits(), 0u);
 }
 
+TEST(ContentHash, DistinguishesCompilePoints)
+{
+    const workloads::Workload w = workloads::get("example", 1);
+    const std::uint64_t ms = workloadContentHash(w, true, {}, 1);
+    EXPECT_EQ(ms, workloadContentHash(w, true, {}, 1));
+    EXPECT_NE(ms, workloadContentHash(w, false, {}, 1));
+    EXPECT_NE(ms, workloadContentHash(w, true, {"OPTMASK"}, 1));
+    EXPECT_NE(ms, workloadContentHash(w, true, {}, 2));
+}
+
+TEST(ProgramCacheContent, UnknownWorkloadThrows)
+{
+    ProgramCache cache;
+    EXPECT_THROW(cache.get("no-such-workload", true), FatalError);
+}
+
 TEST(CompiledWorkload, ConcurrentSessionsOverOneProgram)
 {
     auto compiled = compileWorkload("wc", true);

@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "core/multiscalar_processor.hh"
 #include "mem/main_memory.hh"
+#include "sim/compiled_workload.hh"
 #include "sim/reference.hh"
 #include "sim/runner.hh"
 #include "sim/syscalls.hh"
@@ -190,6 +191,25 @@ TEST(Runner, CycleLimitErrorIsDistinctFromOtherFailures)
                   std::string::npos)
             << msg;
         EXPECT_NE(msg.find("maxCycles=100"), std::string::npos) << msg;
+    }
+}
+
+TEST(Budget, RunnerThrowsBudgetExhaustedError)
+{
+    // The typed error carries the budget and the cycles consumed, on
+    // the multiscalar machine's compiled-run path.
+    ProgramCache cache;
+    auto compiled = cache.get("wc", true);
+    RunSpec spec;
+    spec.maxCycles = 100;
+    try {
+        runCompiled(*compiled, spec);
+        FAIL() << "expected BudgetExhaustedError";
+    } catch (const BudgetExhaustedError &e) {
+        EXPECT_EQ(e.budget, 100u);
+        EXPECT_EQ(e.cyclesConsumed, 100u);
+        EXPECT_NE(std::string(e.what()).find("cycle budget"),
+                  std::string::npos);
     }
 }
 

@@ -236,7 +236,7 @@ main(int argc, char **argv)
             } else if (arg == "--workloads") {
                 workloads = parseStringList(value());
             } else if (arg == "--jobs" || arg == "-j") {
-                jobs = unsigned(std::strtoul(value(), nullptr, 10));
+                jobs = bench::parseJobs(value());
             } else if (arg == "--smoke") {
                 smoke = true;
             } else if (arg == "--json") {

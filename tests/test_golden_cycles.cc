@@ -4,6 +4,8 @@
  *
  * Every workload is run on the scalar baseline and on the default
  * 4-unit multiscalar machine under a pinned (default) configuration,
+ * and again with 2-way out-of-order units (the ooo2w variant, the
+ * scoreboarded window of paper section 5.1). Each point runs
  * twice: once with the quiescence fast-forward enabled and once with
  * it disabled (ScalarConfig/MsConfig::fastForward = false). The two
  * runs must agree on every observable — total cycles, instruction
@@ -159,6 +161,8 @@ struct Case
     bool multiscalar;
     /** True = 10x first-beat bus latency (memory-bound regime). */
     bool slowmem = false;
+    /** True = 2-way out-of-order units instead of 1-way in-order. */
+    bool ooo2w = false;
 };
 
 class GoldenCycles : public ::testing::TestWithParam<Case>
@@ -168,18 +172,25 @@ class GoldenCycles : public ::testing::TestWithParam<Case>
 /**
  * The pinned configuration: library defaults for either machine,
  * optionally with the slow-memory bus (first beat 100 cycles instead
- * of 10 — the latency-tolerance design point of the L2 ablation).
+ * of 10 — the latency-tolerance design point of the L2 ablation) or
+ * with 2-way out-of-order units.
  */
 RunSpec
-pinnedSpec(bool multiscalar, bool fast_forward, bool slowmem)
+pinnedSpec(const Case &c, bool fast_forward)
 {
     RunSpec spec;
-    spec.multiscalar = multiscalar;
+    spec.multiscalar = c.multiscalar;
     spec.ms.fastForward = fast_forward;
     spec.scalar.fastForward = fast_forward;
-    if (slowmem) {
+    if (c.slowmem) {
         spec.ms.bus.firstBeatLatency = 100;
         spec.scalar.bus.firstBeatLatency = 100;
+    }
+    if (c.ooo2w) {
+        for (PuConfig *pu : {&spec.ms.pu, &spec.scalar.pu}) {
+            pu->outOfOrder = true;
+            pu->issueWidth = 2;
+        }
     }
     return spec;
 }
@@ -189,10 +200,8 @@ TEST_P(GoldenCycles, FastForwardIsCycleExactAndMatchesSnapshot)
     const Case &c = GetParam();
     const workloads::Workload w = workloads::get(c.workload);
 
-    const RunResult on =
-        runWorkload(w, pinnedSpec(c.multiscalar, true, c.slowmem));
-    const RunResult off =
-        runWorkload(w, pinnedSpec(c.multiscalar, false, c.slowmem));
+    const RunResult on = runWorkload(w, pinnedSpec(c, true));
+    const RunResult off = runWorkload(w, pinnedSpec(c, false));
 
     // The fast-forward must be invisible in every observable.
     EXPECT_EQ(on.cycles, off.cycles);
@@ -227,7 +236,8 @@ TEST_P(GoldenCycles, FastForwardIsCycleExactAndMatchesSnapshot)
 
     const std::string key = c.workload +
                             (c.multiscalar ? "/ms4" : "/scalar") +
-                            (c.slowmem ? "-slowmem" : "");
+                            (c.slowmem ? "-slowmem" : "") +
+                            (c.ooo2w ? "-ooo2w" : "");
     GoldenEntry measured;
     measured.cycles = on.cycles;
     measured.instructions = on.instructions;
@@ -266,6 +276,8 @@ allCases()
         (void)factory;
         cases.push_back({name, false});
         cases.push_back({name, true});
+        cases.push_back({name, false, false, true});
+        cases.push_back({name, true, false, true});
         if (isCacheStress(name)) {
             cases.push_back({name, false, true});
             cases.push_back({name, true, true});
@@ -279,7 +291,8 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case> &info) {
         return info.param.workload +
                (info.param.multiscalar ? "_ms4" : "_scalar") +
-               (info.param.slowmem ? "_slowmem" : "");
+               (info.param.slowmem ? "_slowmem" : "") +
+               (info.param.ooo2w ? "_ooo2w" : "");
     });
 
 } // namespace

@@ -21,14 +21,11 @@
 #ifndef MSIM_BENCH_BENCH_COMMON_HH
 #define MSIM_BENCH_BENCH_COMMON_HH
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,24 +72,31 @@ printUsage(const char *argv0)
 }
 
 /**
- * Parse a --jobs value: the whole string must be a positive decimal
- * integer that fits an unsigned. Anything else ("-1", "2x", "0", "",
- * " 3") prints a message and exits 2.
+ * Parse a --jobs value by SweepScheduler::parseJobs() rules; anything
+ * else ("-1", "2x", "0", "", " 3") prints a message and exits 2.
  */
 inline unsigned
 parseJobs(const char *text)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
-        errno == ERANGE || v == 0 ||
-        v > std::numeric_limits<unsigned>::max()) {
+    const unsigned jobs = exp::SweepScheduler::parseJobs(text);
+    if (jobs == 0) {
         std::fprintf(stderr, "--jobs: '%s' is not a positive integer\n",
                      text);
         std::exit(2);
     }
-    return unsigned(v);
+    return jobs;
+}
+
+/** SweepScheduler::defaultJobs(); a malformed MSIM_JOBS exits 2. */
+inline unsigned
+defaultJobs()
+{
+    try {
+        return exp::SweepScheduler::defaultJobs();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+    }
 }
 
 /** Parse the shared flags; exits on bad usage. */
@@ -126,6 +130,8 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         }
     }
+    if (opt.jobs == 0)
+        opt.jobs = defaultJobs();
     return opt;
 }
 

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/bench_common.hh"
 #include "config/machine_shape.hh"
 #include "exp/experiment.hh"
 #include "exp/scheduler.hh"
@@ -357,7 +358,7 @@ printSweepScalingSummary()
     const exp::Experiment e = scalingExperiment();
     exp::SweepScheduler serial(1);
     const double t1 = serial.run(e).wallSeconds;
-    const unsigned jobs = exp::SweepScheduler::defaultJobs();
+    const unsigned jobs = bench::defaultJobs();
     exp::SweepScheduler parallel(jobs);
     const double tn = parallel.run(e).wallSeconds;
     std::printf("\nSweep scaling (%zu cells):\n", e.size());

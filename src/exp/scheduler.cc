@@ -1,9 +1,12 @@
 #include "exp/scheduler.hh"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <thread>
 
 #include "common/logging.hh"
@@ -59,13 +62,25 @@ SweepResult::failures() const
 }
 
 unsigned
+SweepScheduler::parseJobs(const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
+        errno == ERANGE || v > std::numeric_limits<unsigned>::max())
+        return 0;
+    return unsigned(v);
+}
+
+unsigned
 SweepScheduler::defaultJobs()
 {
     if (const char *env = std::getenv("MSIM_JOBS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return unsigned(v);
+        const unsigned jobs = parseJobs(env);
+        fatalIf(jobs == 0, "MSIM_JOBS: '", env,
+                "' is not a positive integer");
+        return jobs;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

@@ -93,9 +93,19 @@ class SweepScheduler
     ProgramCache &programCache() { return cache_; }
 
     /**
+     * Parse a job count: the whole string must be a positive decimal
+     * integer that fits an unsigned ("-1", "2x", "0", "", " 3" do
+     * not).
+     * @return the count, or 0 when @p text is malformed.
+     */
+    static unsigned parseJobs(const char *text);
+
+    /**
      * Job count when none is given: the MSIM_JOBS environment
-     * variable when set to a positive integer, otherwise the host's
-     * hardware concurrency (at least 1).
+     * variable when set, otherwise the host's hardware concurrency
+     * (at least 1).
+     * @throws FatalError naming MSIM_JOBS when it is set but
+     *         parseJobs() rejects it.
      */
     static unsigned defaultJobs();
 

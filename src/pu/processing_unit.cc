@@ -1,6 +1,7 @@
 #include "pu/processing_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "isa/registers.hh"
@@ -74,6 +75,7 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     }
     regs_[0].value = RegValue::fromWord(0);
     window_.clear();
+    nextDoneAt_ = kCycleNever;
     fetchBuf_.clear();
     fetchPc_ = start_pc;
     fetchEnabled_ = true;
@@ -103,6 +105,7 @@ ProcessingUnit::flush()
     activity_ = true;
     TaskStats out = taskStats_;
     window_.clear();
+    nextDoneAt_ = kCycleNever;
     fetchBuf_.clear();
     pendingFetchReady_ = 0;
     awaitRedirect_ = false;
@@ -317,7 +320,7 @@ void
 ProcessingUnit::writeback(const Slot &slot)
 {
     const Instruction &inst = *slot.inst;
-    const RegIndex dest = destOf(inst);
+    const RegIndex dest = slot.dest;
     if (dest > 0 && dest < kNumRegs) {
         RegState &st = regs_[size_t(dest)];
         st.value = slot.result;
@@ -341,10 +344,19 @@ ProcessingUnit::writeback(const Slot &slot)
 void
 ProcessingUnit::completePhase(Cycle now)
 {
+    // Nothing completes before the earliest doneAt; the end-of-tick
+    // pop already left a not-done slot (or nothing) at the head.
+    if (now < nextDoneAt_)
+        return;
+    Cycle next = kCycleNever;
     for (size_t i = 0; i < window_.size(); ++i) {
         Slot &slot = window_[i];
-        if (!slot.issued || slot.done || slot.doneAt > now)
+        if (!slot.issued || slot.done)
             continue;
+        if (slot.doneAt > now) {
+            next = std::min(next, slot.doneAt);
+            continue;
+        }
         slot.done = true;
         activity_ = true;
         writeback(slot);
@@ -359,72 +371,46 @@ ProcessingUnit::completePhase(Cycle now)
             break;
         }
     }
+    // A break above truncated every younger slot, so the scan saw all
+    // in-flight work.
+    nextDoneAt_ = next;
     // Pop completed instructions from the window head.
     while (!window_.empty() && window_.front().done)
         window_.pop_front();
 }
 
 bool
-ProcessingUnit::slotReady(const Slot &slot, size_t index, Cycle now) const
+ProcessingUnit::slotReady(const Slot &slot, size_t index,
+                          const OlderUnissued &older) const
 {
-    (void)now;
-    const Instruction &inst = *slot.inst;
-
     // Operand readiness.
-    RegIndex srcs[4];
-    const unsigned nsrc = sourcesOf(inst, srcs);
-    for (unsigned s = 0; s < nsrc; ++s) {
-        if (!regReadReady(srcs[s]))
+    for (std::uint64_t m = slot.srcs.bits(); m != 0; m &= m - 1) {
+        if (!regReadReady(RegIndex(std::countr_zero(m))))
             return false;
     }
 
-    const RegIndex dest = destOf(inst);
-    if (dest > 0 && dest < kNumRegs &&
-        regs_[size_t(dest)].pendingWriters > 0)
+    if (slot.dest > 0 && regs_[size_t(slot.dest)].pendingWriters > 0)
         return false;  // WAW against an in-flight writer
 
     // Memory operations issue in program order among themselves.
-    if (inst.isMemOp()) {
-        for (size_t j = 0; j < index; ++j) {
-            if (!window_[j].issued && window_[j].inst->isMemOp())
-                return false;
-        }
-    }
+    if (slot.isMem && older.mem)
+        return false;
 
     // Syscalls execute only as the oldest instruction, at the head.
-    if (inst.cls() == InstClass::kSyscall) {
+    if (slot.inst->cls() == InstClass::kSyscall) {
         if (index != 0)
             return false;
         if (!ctx_.syscallAllowed(id_))
             return false;
     }
 
-    if (config_.outOfOrder) {
-        // Scoreboard hazards against older, un-issued instructions.
-        for (size_t j = 0; j < index; ++j) {
-            const Slot &older = window_[j];
-            if (older.issued)
-                continue;
-            const Instruction &oinst = *older.inst;
-            const RegIndex odest = destOf(oinst);
-            // RAW: older writes one of our sources.
-            for (unsigned s = 0; s < nsrc; ++s) {
-                if (odest != kNoReg && odest == srcs[s])
-                    return false;
-            }
-            // WAR / WAW: older reads or writes our destination.
-            if (dest != kNoReg) {
-                if (odest == dest)
-                    return false;
-                RegIndex osrcs[4];
-                const unsigned on = sourcesOf(oinst, osrcs);
-                for (unsigned s = 0; s < on; ++s) {
-                    if (osrcs[s] == dest)
-                        return false;
-                }
-            }
-        }
-    }
+    // Scoreboard hazards against older, un-issued instructions: RAW
+    // (they write a source), WAW (they write our destination) and
+    // WAR (they read it).
+    if (config_.outOfOrder &&
+        (!(slot.srcs & older.dests).empty() ||
+         older.dests.test(slot.dest) || older.srcs.test(slot.dest)))
+        return false;
     return true;
 }
 
@@ -501,8 +487,9 @@ ProcessingUnit::tryIssue(Slot &slot, Cycle now)
     }
 
     slot.issued = true;
+    nextDoneAt_ = std::min(nextDoneAt_, slot.doneAt);
     fuAccepts_[size_t(fu)] += 1;
-    noteIssueDest(destOf(inst));
+    noteIssueDest(slot.dest);
     return true;
 }
 
@@ -510,6 +497,7 @@ unsigned
 ProcessingUnit::issuePhase(Cycle now)
 {
     unsigned issued = 0;
+    OlderUnissued older;
     for (size_t i = 0; i < window_.size() && issued < config_.issueWidth;
          ++i) {
         Slot &slot = window_[i];
@@ -521,7 +509,7 @@ ProcessingUnit::issuePhase(Cycle now)
                 break;
             continue;
         }
-        if (slotReady(slot, i, now) && tryIssue(slot, now)) {
+        if (slotReady(slot, i, older) && tryIssue(slot, now)) {
             ++issued;
             if (isBarrier(*slot.inst))
                 break;
@@ -533,6 +521,7 @@ ProcessingUnit::issuePhase(Cycle now)
             break;
         if (isBarrier(*slot.inst))
             break;
+        older.add(slot);
     }
     return issued;
 }
@@ -551,6 +540,12 @@ ProcessingUnit::dispatchPhase(Cycle now)
         slot.inst = f.inst;
         slot.pc = f.pc;
         slot.predTaken = f.predTaken;
+        RegIndex srcs[4];
+        const unsigned nsrc = sourcesOf(*f.inst, srcs);
+        for (unsigned s = 0; s < nsrc; ++s)
+            slot.srcs.set(srcs[s]);
+        slot.dest = destOf(*f.inst);
+        slot.isMem = f.inst->isMemOp();
         window_.push_back(slot);
         fetchBuf_.pop_front();
         ++moved;
@@ -713,19 +708,14 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
         return status_ == Status::kRunning ? CycleCat::kFetchStall
                                            : CycleCat::kRetireWait;
     }
-    RegIndex srcs[4];
-    const unsigned nsrc = sourcesOf(*oldest->inst, srcs);
-    for (unsigned s = 0; s < nsrc; ++s) {
-        const RegIndex r = srcs[s];
-        if (r > 0 && r < kNumRegs) {
-            const RegState &st = regs_[size_t(r)];
-            if (st.awaitingPred && !st.writtenWB &&
-                st.pendingWriters == 0) {
-                return CycleCat::kRingWait;
-            }
-        }
+    // Sources other than r0, which never waits on the ring.
+    for (std::uint64_t m = oldest->srcs.bits() & ~std::uint64_t(1); m != 0;
+         m &= m - 1) {
+        const RegState &st = regs_[size_t(std::countr_zero(m))];
+        if (st.awaitingPred && !st.writtenWB && st.pendingWriters == 0)
+            return CycleCat::kRingWait;
     }
-    if (oldest->inst->isMemOp() || memOpInFlight())
+    if (oldest->isMem || memOpInFlight())
         return CycleCat::kMemWait;
     return CycleCat::kIntraWait;
 }
@@ -800,6 +790,7 @@ ProcessingUnit::nextEventCycle(Cycle now) const
     // unreachable ready slot (past an in-order stall or a barrier)
     // cannot act before one of the in-flight completions below.
     bool issue_blocked = false;
+    OlderUnissued older;
     for (size_t i = 0; i < window_.size(); ++i) {
         const Slot &slot = window_[i];
         if (slot.done)
@@ -812,7 +803,7 @@ ProcessingUnit::nextEventCycle(Cycle now) const
                 issue_blocked = true;  // no issue past it until done
             continue;
         }
-        if (!issue_blocked && slotReady(slot, i, now)) {
+        if (!issue_blocked && slotReady(slot, i, older)) {
             // Operand-ready and reachable (held back only by issue
             // width, FU capacity, memory ordering retry, or a full
             // ARB): it may issue next cycle. Conservative — never
@@ -823,6 +814,7 @@ ProcessingUnit::nextEventCycle(Cycle now) const
         // continues, but never past a barrier.
         if (!config_.outOfOrder || isBarrier(*slot.inst))
             issue_blocked = true;
+        older.add(slot);
     }
     if (status_ == Status::kRunning) {
         // Dispatch: decoded instructions move into a non-full window.

@@ -259,6 +259,31 @@ class ProcessingUnit
         bool predTaken = false;
         isa::RegValue result;
         isa::BranchResult branch;
+        // Operand facts, decoded once at dispatch.
+        RegMask srcs;
+        RegIndex dest = kNoReg;
+        bool isMem = false;
+    };
+
+    /**
+     * Operands of the older slots an oldest-first window walk has
+     * passed that are still un-issued after their own issue attempt.
+     * The scoreboard hazards of the next slot are mask tests on it.
+     */
+    struct OlderUnissued
+    {
+        RegMask dests;
+        RegMask srcs;
+        bool mem = false;
+
+        void
+        add(const Slot &slot)
+        {
+            if (slot.dest != kNoReg)
+                dests.set(slot.dest);
+            srcs |= slot.srcs;
+            mem = mem || slot.isMem;
+        }
     };
 
     // --- tick phases -------------------------------------------------
@@ -275,7 +300,8 @@ class ProcessingUnit
     bool memOpInFlight() const;
     bool regReadReady(RegIndex reg) const;
     isa::RegValue regRead(RegIndex reg) const;
-    bool slotReady(const Slot &slot, size_t index, Cycle now) const;
+    bool slotReady(const Slot &slot, size_t index,
+                   const OlderUnissued &older) const;
     bool tryIssue(Slot &slot, Cycle now);
     void noteIssueDest(RegIndex reg);
     void writeback(const Slot &slot);
@@ -338,6 +364,8 @@ class ProcessingUnit
     /** Pre-sized ring buffers: no heap churn on the per-cycle path. */
     RingFifo<Fetched> fetchBuf_;
     RingFifo<Slot> window_;
+    /** Lower bound on the doneAt of every issued, not-done slot. */
+    Cycle nextDoneAt_ = kCycleNever;
     Addr fetchPc_ = 0;
     bool fetchEnabled_ = false;
     bool awaitRedirect_ = false;   //!< jr/jalr target pending

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/logging.hh"
@@ -154,8 +155,18 @@ TEST(SweepScheduler, DefaultJobsHonorsEnvironment)
 {
     ASSERT_EQ(setenv("MSIM_JOBS", "3", 1), 0);
     EXPECT_EQ(exp::SweepScheduler::defaultJobs(), 3u);
-    ASSERT_EQ(setenv("MSIM_JOBS", "garbage", 1), 0);
-    EXPECT_GE(exp::SweepScheduler::defaultJobs(), 1u);
+    // A malformed or out-of-range value is a user error naming the
+    // variable, never silently ignored or wrapped around.
+    for (const char *bad : {"garbage", "-1", "0", "2x", "", "99999999999"}) {
+        ASSERT_EQ(setenv("MSIM_JOBS", bad, 1), 0);
+        try {
+            exp::SweepScheduler::defaultJobs();
+            ADD_FAILURE() << "MSIM_JOBS='" << bad << "' was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("MSIM_JOBS"),
+                      std::string::npos) << e.what();
+        }
+    }
     ASSERT_EQ(unsetenv("MSIM_JOBS"), 0);
     EXPECT_GE(exp::SweepScheduler::defaultJobs(), 1u);
 }

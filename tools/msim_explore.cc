@@ -258,7 +258,7 @@ main(int argc, char **argv)
         }
 
         bench::BenchOptions opt;
-        opt.jobs = jobs;
+        opt.jobs = jobs != 0 ? jobs : bench::defaultJobs();
         opt.jsonPath = jsonPath;
         exp::Experiment experiment("msim-explore");
         exp::declareExplore(experiment, axes, workloads);

@@ -44,7 +44,7 @@ main()
                     100.0 * r.predAccuracy(),
                     (unsigned long long)r.controlSquashes,
                     (unsigned long long)r.memorySquashes,
-                    100.0 * double(r.usefulCycles.busy) / total);
+                    100.0 * double(r.accounting[CycleCat::kBusy]) / total);
     }
 
     // Detailed section 3 breakdown at 8 units.
@@ -56,19 +56,21 @@ main()
     auto pct = [&](std::uint64_t v) {
         return 100.0 * double(v) / total;
     };
+    const CycleAccountingResult &a = r.accounting;
     std::printf("\ncycle distribution at 8 units (section 3):\n");
     std::printf("  useful computation    %5.1f%%\n",
-                pct(r.usefulCycles.busy));
+                pct(a[CycleCat::kBusy]));
     std::printf("  non-useful (squashed) %5.1f%%\n",
-                pct(r.squashedCycles.total()));
+                pct(a[CycleCat::kSquashed]));
     std::printf("  waiting for preds     %5.1f%%\n",
-                pct(r.usefulCycles.waitPred));
+                pct(a[CycleCat::kRingWait]));
     std::printf("  intra-task waits      %5.1f%%\n",
-                pct(r.usefulCycles.waitIntra));
+                pct(a[CycleCat::kMemWait] + a[CycleCat::kIntraWait]));
     std::printf("  fetch stalls          %5.1f%%\n",
-                pct(r.usefulCycles.fetchStall));
+                pct(a[CycleCat::kFetchStall]));
     std::printf("  waiting to retire     %5.1f%%\n",
-                pct(r.usefulCycles.waitRetire));
-    std::printf("  idle (no task)        %5.1f%%\n", pct(r.idleCycles));
+                pct(a[CycleCat::kRetireWait]));
+    std::printf("  idle (no task)        %5.1f%%\n",
+                pct(a[CycleCat::kIdle]));
     return 0;
 }

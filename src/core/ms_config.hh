@@ -73,8 +73,7 @@ struct MsConfig
      * the run loop jumps straight to the next scheduled event
      * instead of ticking the stalled cycles one by one. Observable
      * timing (cycle counts, accounting, results) is bit-identical
-     * either way — the golden-cycle snapshot tests verify it. The
-     * MSIM_NO_FASTFORWARD environment variable force-disables it.
+     * either way — the golden-cycle snapshot tests verify it.
      */
     bool fastForward = true;
 

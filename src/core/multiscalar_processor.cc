@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "core/run_loop.hh"
 #include "isa/registers.hh"
 
 namespace msim {
@@ -102,8 +102,7 @@ MultiscalarProcessor::MultiscalarProcessor(const Program &program,
     taskInfo_.resize(config.numUnits);
     // Tracing wants a sample of every cycle, so skipping is reserved
     // for untraced runs (where the hot loop must stay lean anyway).
-    fastForward_ = config.fastForward && !tracer_ &&
-                   !std::getenv("MSIM_NO_FASTFORWARD");
+    fastForward_ = config.fastForward && !tracer_;
     if (config.writeSetOracle || config.memDepOracle)
         oracle_ = std::make_unique<analysis::AnnotationVerifier>(program);
     if (config.memDepOracle) {
@@ -311,9 +310,7 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *event,
         const unsigned tail_unit = unitAt(numActive_ - 1);
         if (taskInfo_[tail_unit].seq < from)
             break;
-        TaskStats ts = pu(tail_unit).flush();
-        result_.squashedInstructions += ts.instructions;
-        result_.squashedCycles += ts.cycles;
+        result_.squashedInstructions += pu(tail_unit).flush();
         result_.tasksSquashed += 1;
         acct_.squashTask(tail_unit);
         if (tracer_ && tracer_->wants(TraceCat::kTask)) {
@@ -460,9 +457,7 @@ MultiscalarProcessor::retirePhase(Cycle now)
             archRegs_[size_t(r)] =
                 pu(head_unit).forwardedValue(RegIndex(r));
     }
-    TaskStats ts = pu(head_unit).retire();
-    result_.instructions += ts.instructions;
-    result_.usefulCycles += ts.cycles;
+    result_.instructions += pu(head_unit).retire();
     result_.tasksRetired += 1;
     taskInfo_[head_unit] = ActiveTask{};
     head_ = (head_ + 1) % config_.numUnits;
@@ -590,16 +585,45 @@ MultiscalarProcessor::unitsPhase(Cycle now)
         pu(unitAt(p)).tick(now);
 }
 
+bool
+MultiscalarProcessor::stepCycle(Cycle now)
+{
+    ringPhase(now);
+    unitsPhase(now);
+    if (syscalls_->exited())
+        return true;
+    deferredPhase(now);
+    retirePhase(now);
+    assignPhase(now);
+    return false;
+}
+
+std::uint64_t
+MultiscalarProcessor::progressCount() const
+{
+    std::uint64_t progress = result_.instructions + result_.tasksRetired +
+                             result_.squashedInstructions;
+    for (unsigned u = 0; u < config_.numUnits; ++u)
+        progress += pu(u).taskInstructions();
+    return progress;
+}
+
+bool
+MultiscalarProcessor::quiescent() const
+{
+    // A unit whose last tick changed state may act again immediately
+    // — don't bother scanning windows.
+    for (unsigned u = 0; u < config_.numUnits; ++u) {
+        if (!pu(u).quiescentLastTick())
+            return false;
+    }
+    return true;
+}
+
 Cycle
 MultiscalarProcessor::nextEventCycle(Cycle now) const
 {
     const Cycle soon = now + 1;
-    // Cheap pre-filter: a unit whose last tick changed state may act
-    // again immediately — don't bother scanning windows.
-    for (unsigned u = 0; u < config_.numUnits; ++u) {
-        if (!pu(u).quiescentLastTick())
-            return soon;
-    }
     // Ring traffic is delivered (and re-launched) every tick; any
     // queued or in-flight message means progress next cycle.
     if (!ring_->idle())
@@ -624,17 +648,6 @@ MultiscalarProcessor::nextEventCycle(Cycle now) const
         if (e < next)
             next = e;
     }
-    // The shared L2's in-flight MSHR fills bound the jump too: the
-    // L2 never acts on its own (it is a call-time model), so this
-    // only shortens skips, keeping FF-on timing identical while the
-    // quiescence claim stays honest about outstanding misses.
-    if (l2_) {
-        const Cycle e = l2_->nextEventCycle(now);
-        if (e <= soon)
-            return soon;
-        if (e < next)
-            next = e;
-    }
     return next;
 }
 
@@ -643,10 +656,35 @@ MultiscalarProcessor::accountSkip(std::uint64_t n)
 {
     for (unsigned u = 0; u < config_.numUnits; ++u)
         pu(u).accountSkippedCycles(n);
-    result_.idleCycles += (config_.numUnits - numActive_) * n;
-    result_.fastForwardedCycles += n;
-    ++coreStats_.ffJumps;
-    coreStats_.ffSkippedCycles += n;
+}
+
+void
+MultiscalarProcessor::foldTasks()
+{
+    // The head is architecturally committed work; later tasks are
+    // speculative and do not count.
+    for (unsigned p = 0; p < numActive_; ++p) {
+        const unsigned unit = unitAt(p);
+        const std::uint64_t executed = pu(unit).taskInstructions();
+        if (p == 0) {
+            result_.instructions += executed;
+            result_.tasksRetired += 1;
+            acct_.commitTask(unit);
+        } else {
+            result_.squashedInstructions += executed;
+            result_.tasksSquashed += 1;
+            acct_.squashTask(unit);
+        }
+    }
+}
+
+void
+MultiscalarProcessor::dumpState(std::ostream &os) const
+{
+    for (unsigned p = 0; p < numActive_; ++p) {
+        const unsigned unit = unitAt(p);
+        dumpUnit(os, pu(unit), taskInfo_[unit].start);
+    }
 }
 
 RunResult
@@ -662,106 +700,7 @@ MultiscalarProcessor::run(Cycle max_cycles)
     archRegs_[size_t(isa::kRegSp)] = isa::RegValue::fromWord(kStackTop);
     rebuildWalkRegs();
     nextTaskAddr_ = program_.entry;
-
-    Cycle now = 0;
-    Cycle cycles_done = 0;
-    std::uint64_t last_progress = 0;
-    Cycle last_progress_cycle = 0;
-    for (; now < max_cycles; ++now) {
-        if (tracer_)
-            tracer_->setNow(now);
-        acct_.beginCycle();
-        ringPhase(now);
-        unitsPhase(now);
-        if (syscalls_->exited()) {
-            acct_.endCycle();
-            ++cycles_done;
-            break;
-        }
-        deferredPhase(now);
-        retirePhase(now);
-        assignPhase(now);
-        acct_.endCycle();
-        ++cycles_done;
-        result_.idleCycles += config_.numUnits - numActive_;
-
-        const std::uint64_t progress =
-            result_.instructions + result_.tasksRetired +
-            result_.squashedInstructions;
-        std::uint64_t live = 0;
-        for (unsigned u = 0; u < config_.numUnits; ++u)
-            live += units_[u]->currentTaskStats().instructions;
-        if (progress + live != last_progress) {
-            last_progress = progress + live;
-            last_progress_cycle = now;
-        }
-        if (now - last_progress_cycle > 100000) {
-            std::ostringstream os;
-            os << "multiscalar processor made no progress for 100000 "
-                  "cycles (deadlock?). State:";
-            for (unsigned p = 0; p < numActive_; ++p) {
-                const unsigned unit = unitAt(p);
-                os << "\n  unit " << unit << " seq "
-                   << taskInfo_[unit].seq << " task@0x" << std::hex
-                   << taskInfo_[unit].start << std::dec << " status "
-                   << int(pu(unit).status()) << " awaiting {"
-                   << (pu(unit).createMask() -
-                       pu(unit).forwardedMask()).toString()
-                   << "}";
-            }
-            panic(os.str());
-        }
-
-        // Cycle-exact fast-forward: when every component is
-        // quiescent until some future cycle, the skipped cycles are
-        // provably pure stalls — bulk-account them and jump. A
-        // kCycleNever result (nothing scheduled at all) falls back
-        // to stepping so the deadlock watchdog above still fires.
-        if (fastForward_) {
-            const Cycle next = nextEventCycle(now);
-            if (next > now + 1 && next != kCycleNever) {
-                const Cycle target = next < max_cycles ? next
-                                                       : max_cycles;
-                if (target > now + 1) {
-                    const std::uint64_t n = target - now - 1;
-                    accountSkip(n);
-                    cycles_done += n;
-                    now += n;
-                }
-            }
-        }
-    }
-
-    // Fold the remaining active tasks: the head is architecturally
-    // committed work; later tasks are speculative and do not count.
-    for (unsigned p = 0; p < numActive_; ++p) {
-        const unsigned unit = unitAt(p);
-        const TaskStats &ts = pu(unit).currentTaskStats();
-        if (p == 0) {
-            result_.instructions += ts.instructions;
-            result_.usefulCycles += ts.cycles;
-            result_.tasksRetired += 1;
-            acct_.commitTask(unit);
-        } else {
-            result_.squashedInstructions += ts.instructions;
-            result_.squashedCycles += ts.cycles;
-            result_.tasksSquashed += 1;
-            acct_.squashTask(unit);
-        }
-    }
-
-    result_.cycles = cycles_done;
-    result_.exited = syscalls_->exited();
-    result_.hitMaxCycles = !result_.exited;
-    result_.output = syscalls_->output();
-    result_.accounting = acct_.finish(cycles_done);
-    acct_.exportStats(stats_.group("cycles"));
-    if (tracer_) {
-        tracer_->flush();
-        coreStats_.group.counter("traceEvents") += tracer_->recorded();
-        coreStats_.group.counter("traceDropped") += tracer_->dropped();
-    }
-    return result_;
+    return runLoop(*this, max_cycles);
 }
 
 } // namespace msim

@@ -37,6 +37,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "analysis/mem_dep.hh"
@@ -101,6 +102,11 @@ class MultiscalarProcessor : public PuContext
     void taskExited(unsigned unit, Addr next_task) override;
 
   private:
+    template <class Core>
+    friend RunResult runLoop(Core &core, Cycle max_cycles);
+
+    static constexpr const char *kName = "multiscalar processor";
+
     /** Sequencer bookkeeping for an assigned task. */
     struct ActiveTask
     {
@@ -123,24 +129,33 @@ class MultiscalarProcessor : public PuContext
         Addr actual;
     };
 
+    // --- run-loop hooks (see core/run_loop.hh) -------------------------
+    /** Phases 1-5 of one cycle; 3-5 are skipped once the program exits. */
+    bool stepCycle(Cycle now);
+    /** Committed, retired, squashed and in-flight work so far. */
+    std::uint64_t progressCount() const;
+    bool quiescent() const;
+    /**
+     * The earliest cycle after @p now at which any component (ring,
+     * sequencer, retirement, any processing unit) can make progress.
+     * Side-effect free; called after a quiescent tick (the run loop
+     * adds the shared L2's bound). now + 1 means "no skip possible";
+     * kCycleNever means nothing is scheduled (a stopped walk with no
+     * active task — deadlock).
+     */
+    Cycle nextEventCycle(Cycle now) const;
+    void accountSkip(std::uint64_t n);
+    /** The head still counts as retired; later tasks as squashed. */
+    void foldTasks();
+    /** One dumpUnit line per active task, head first. */
+    void dumpState(std::ostream &os) const;
+
     // --- cycle phases -------------------------------------------------
     void ringPhase(Cycle now);
     void unitsPhase(Cycle now);
     void deferredPhase(Cycle now);
     void retirePhase(Cycle now);
     void assignPhase(Cycle now);
-
-    /**
-     * The earliest cycle after @p now at which any component (ring,
-     * sequencer, retirement, any processing unit) can make progress.
-     * Side-effect free; called after a full cycle has been ticked.
-     * now + 1 means "no skip possible"; kCycleNever means nothing is
-     * scheduled (a stopped walk with no active task — deadlock).
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /** Bulk-account @p n skipped quiescent cycles on every unit. */
-    void accountSkip(std::uint64_t n);
 
     // --- helpers ------------------------------------------------------
     unsigned unitAt(unsigned position) const;
@@ -177,8 +192,6 @@ class MultiscalarProcessor : public PuContext
         std::uint64_t &squashControl = group.counter("squash_control");
         std::uint64_t &squashMemory = group.counter("squash_memory");
         std::uint64_t &squashArbFull = group.counter("squash_arbfull");
-        std::uint64_t &ffJumps = group.counter("ffJumps");
-        std::uint64_t &ffSkippedCycles = group.counter("ffSkippedCycles");
     };
 
     StatRegistry stats_;
@@ -242,8 +255,7 @@ class MultiscalarProcessor : public PuContext
 
     /**
      * Cycle-exact fast-forward enabled for this run (config flag,
-     * minus the MSIM_NO_FASTFORWARD escape hatch, minus tracing —
-     * skipping would drop per-cycle trace samples).
+     * minus tracing — skipping would drop per-cycle trace samples).
      */
     bool fastForward_ = false;
 };

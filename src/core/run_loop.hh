@@ -1,0 +1,133 @@
+/**
+ * @file
+ * The run loop both machines share. The scalar baseline is "a single
+ * processing unit identical to a multiscalar unit" (paper section
+ * 5.1) and is clocked the same way: one skeleton owns the tracer
+ * clock, the cycle-accounting brackets, the no-progress watchdog, the
+ * quiescence fast-forward and the RunResult fill. It reaches the core
+ * through members and hooks resolved at compile time (no per-cycle
+ * virtual call). A Core befriends runLoop and provides tracer_,
+ * acct_, result_, syscalls_, stats_, l2_ (may be null), fastForward_,
+ * kName (the watchdog's name for it), and:
+ *
+ *   bool stepCycle(now)       tick one cycle; true = the program exited
+ *   progressCount()           grows whenever any work gets done
+ *   bool quiescent()          no unit changed state in its last tick
+ *   Cycle nextEventCycle(now) next cycle the core can act (now + 1:
+ *                             no skip; kCycleNever: nothing scheduled)
+ *   accountSkip(n)            bulk-account n skipped quiescent cycles
+ *   foldTasks()               settle the tasks in flight at the end
+ *   dumpState(os)             the watchdog dump, one dumpUnit per task
+ */
+
+#ifndef MSIM_CORE_RUN_LOOP_HH
+#define MSIM_CORE_RUN_LOOP_HH
+
+#include <cstdint>
+#include <ostream>
+#include <sstream>
+
+#include "common/logging.hh"
+#include "common/types.hh"
+#include "core/run_result.hh"
+#include "pu/processing_unit.hh"
+
+namespace msim {
+
+/** Cycles without progress after which a run is declared stuck. */
+inline constexpr Cycle kWatchdogCycles = 100000;
+
+/** The watchdog's line for @p pu, running the task at @p start. */
+inline void
+dumpUnit(std::ostream &os, const ProcessingUnit &pu, Addr start)
+{
+    os << "\n  unit " << pu.id() << " seq " << pu.seq() << " task@0x"
+       << std::hex << start << std::dec << " status "
+       << int(pu.status()) << " awaiting {"
+       << (pu.createMask() - pu.forwardedMask()).toString() << "}";
+}
+
+/** Run @p core to its exit syscall or @p max_cycles. */
+template <class Core>
+RunResult
+runLoop(Core &core, Cycle max_cycles)
+{
+    Tracer *const tracer = core.tracer_.get();
+    CycleAccounting &acct = core.acct_;
+    RunResult &result = core.result_;
+    StatGroup &core_stats = core.stats_.group("core");
+    std::uint64_t &ff_jumps = core_stats.counter("ffJumps");
+    std::uint64_t &ff_skipped = core_stats.counter("ffSkippedCycles");
+
+    Cycle now = 0;
+    Cycle cycles_done = 0;
+    std::uint64_t last_progress = 0;
+    Cycle last_progress_cycle = 0;
+    for (; now < max_cycles; ++now) {
+        if (tracer)
+            tracer->setNow(now);
+        acct.beginCycle();
+        const bool exited = core.stepCycle(now);
+        acct.endCycle();
+        ++cycles_done;
+        if (exited)
+            break;
+
+        const std::uint64_t progress = core.progressCount();
+        if (progress != last_progress) {
+            last_progress = progress;
+            last_progress_cycle = now;
+        }
+        if (now - last_progress_cycle > kWatchdogCycles) {
+            std::ostringstream os;
+            os << Core::kName << " made no progress for "
+               << kWatchdogCycles << " cycles (deadlock?). State:";
+            core.dumpState(os);
+            panic(os.str());
+        }
+
+        // Cycle-exact fast-forward: when every component is
+        // quiescent until some future cycle, the skipped cycles are
+        // provably pure stalls — bulk-account them and jump. A
+        // kCycleNever result (nothing scheduled at all) falls back
+        // to stepping so the watchdog above still fires.
+        if (core.fastForward_ && core.quiescent()) {
+            Cycle next = core.nextEventCycle(now);
+            // An in-flight L2 MSHR fill bounds the jump (the L2 is a
+            // call-time model, so this only shortens skips).
+            if (core.l2_) {
+                const Cycle l2next = core.l2_->nextEventCycle(now);
+                if (l2next < next)
+                    next = l2next;
+            }
+            const Cycle target = next < max_cycles ? next : max_cycles;
+            if (next != kCycleNever && target > now + 1) {
+                const std::uint64_t n = target - now - 1;
+                core.accountSkip(n);
+                result.fastForwardedCycles += n;
+                ++ff_jumps;
+                ff_skipped += n;
+                cycles_done += n;
+                now += n;
+            }
+        }
+    }
+
+    core.foldTasks();
+    result.cycles = cycles_done;
+    result.exited = core.syscalls_->exited();
+    result.hitMaxCycles = !result.exited;
+    result.output = core.syscalls_->output();
+    result.accounting = acct.finish(cycles_done);
+    acct.exportStats(core.stats_.group("cycles"));
+    if (tracer) {
+        tracer->flush();
+        core_stats.counter("traceEvents") += tracer->recorded();
+        core_stats.counter("traceDropped") += tracer->dropped();
+    }
+    return result;
+}
+
+} // namespace msim
+
+#endif // MSIM_CORE_RUN_LOOP_HH

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "pu/processing_unit.hh"
 #include "trace/cycle_accounting.hh"
 
 namespace msim {
@@ -59,15 +58,10 @@ struct RunResult
     std::uint64_t memorySquashes = 0;
     std::uint64_t arbFullSquashes = 0;
 
-    /** Cycle distribution over units (section 3). */
-    CycleBreakdown usefulCycles;    //!< cycles of retired tasks
-    CycleBreakdown squashedCycles;  //!< cycles of squashed tasks
-    std::uint64_t idleCycles = 0;   //!< unit-cycles with no task
-
     /**
-     * Exact per-unit cycle accounting (src/trace/): every unit-cycle
-     * classified into exactly one category, with
-     * accounting.sum() == cycles × accounting.numUnits.
+     * Cycle distribution over units (section 3), exact per unit
+     * (src/trace/): every unit-cycle classified into exactly one
+     * category, with accounting.sum() == cycles × accounting.numUnits.
      */
     CycleAccountingResult accounting;
 

@@ -1,8 +1,7 @@
 #include "core/scalar_processor.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
+#include "core/run_loop.hh"
 #include "isa/registers.hh"
 
 namespace msim {
@@ -55,8 +54,7 @@ ScalarProcessor::ScalarProcessor(const Program &program,
     unit_ = std::make_unique<ProcessingUnit>(0, config.pu, *this,
                                              stats_.group("pu0"),
                                              &acct_, tracer);
-    fastForward_ = config.fastForward && !tracer_ &&
-                   !std::getenv("MSIM_NO_FASTFORWARD");
+    fastForward_ = config.fastForward && !tracer_;
 }
 
 void
@@ -75,71 +73,13 @@ ScalarProcessor::run(Cycle max_cycles)
     init[size_t(isa::kRegSp)] = isa::RegValue::fromWord(kStackTop);
     unit_->assignTask(0, program_.entry, RegMask(), RegMask(),
                       init.data());
+    return runLoop(*this, max_cycles);
+}
 
-    RunResult result;
-    Cycle now = 0;
-    Cycle cycles_done = 0;
-    std::uint64_t last_progress_count = 0;
-    Cycle last_progress_cycle = 0;
-    for (; now < max_cycles; ++now) {
-        if (tracer_)
-            tracer_->setNow(now);
-        acct_.beginCycle();
-        unit_->tick(now);
-        acct_.endCycle();
-        ++cycles_done;
-        if (syscalls_->exited())
-            break;
-        const std::uint64_t done = unit_->currentTaskStats().instructions;
-        if (done != last_progress_count) {
-            last_progress_count = done;
-            last_progress_cycle = now;
-        }
-        panicIf(now - last_progress_cycle > 100000,
-                "scalar processor made no progress for 100000 cycles "
-                "(pc region near 0x", std::hex,
-                program_.entry, std::dec, ")");
-
-        // Cycle-exact fast-forward: the single unit is the only
-        // event source (the caches and bus are call-time models), so
-        // when it is quiescent until a known cycle the intervening
-        // stall cycles can be bulk-accounted and skipped.
-        if (fastForward_ && unit_->quiescentLastTick()) {
-            Cycle next = unit_->nextEventCycle(now);
-            // An in-flight L2 MSHR fill bounds the jump (the L2 is a
-            // call-time model, so this only shortens skips).
-            if (l2_) {
-                const Cycle l2next = l2_->nextEventCycle(now);
-                if (l2next < next)
-                    next = l2next;
-            }
-            if (next > now + 1 && next != kCycleNever) {
-                const Cycle target = next < max_cycles ? next
-                                                       : max_cycles;
-                if (target > now + 1) {
-                    const std::uint64_t n = target - now - 1;
-                    unit_->accountSkippedCycles(n);
-                    cycles_done += n;
-                    result.fastForwardedCycles += n;
-                    now += n;
-                }
-            }
-        }
-    }
-
-    acct_.commitTask(0);
-    result.cycles = cycles_done;
-    result.exited = syscalls_->exited();
-    result.hitMaxCycles = !result.exited;
-    result.instructions = unit_->currentTaskStats().instructions;
-    result.usefulCycles = unit_->currentTaskStats().cycles;
-    result.tasksRetired = 1;
-    result.output = syscalls_->output();
-    result.accounting = acct_.finish(cycles_done);
-    acct_.exportStats(stats_.group("cycles"));
-    if (tracer_)
-        tracer_->flush();
-    return result;
+void
+ScalarProcessor::dumpState(std::ostream &os) const
+{
+    dumpUnit(os, *unit_, program_.entry);
 }
 
 const isa::Instruction *

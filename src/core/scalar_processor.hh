@@ -14,6 +14,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <ostream>
 
 #include "common/stats.hh"
 #include "core/run_result.hh"
@@ -95,6 +96,37 @@ class ScalarProcessor : public PuContext
     void taskExited(unsigned unit, Addr next_task) override;
 
   private:
+    template <class Core>
+    friend RunResult runLoop(Core &core, Cycle max_cycles);
+
+    static constexpr const char *kName = "scalar processor";
+
+    // --- run-loop hooks (see core/run_loop.hh) -------------------------
+    // The single unit is the only event source (the caches and bus are
+    // call-time models), so its quiescence is the machine's.
+    bool
+    stepCycle(Cycle now)
+    {
+        unit_->tick(now);
+        return syscalls_->exited();
+    }
+    std::uint64_t progressCount() const { return unit_->taskInstructions(); }
+    bool quiescent() const { return unit_->quiescentLastTick(); }
+    Cycle
+    nextEventCycle(Cycle now) const
+    {
+        return unit_->nextEventCycle(now);
+    }
+    void accountSkip(std::uint64_t n) { unit_->accountSkippedCycles(n); }
+    void
+    foldTasks()
+    {
+        acct_.commitTask(0);
+        result_.instructions = unit_->taskInstructions();
+        result_.tasksRetired = 1;
+    }
+    void dumpState(std::ostream &os) const;
+
     const Program &program_;
     ScalarConfig config_;
     StatRegistry stats_;
@@ -110,6 +142,7 @@ class ScalarProcessor : public PuContext
     std::unique_ptr<Cache> dcache_;
     std::unique_ptr<SyscallHandler> syscalls_;
     std::unique_ptr<ProcessingUnit> unit_;
+    RunResult result_;
     bool started_ = false;
     /** Cycle-exact fast-forward (see MsConfig::fastForward). */
     bool fastForward_ = false;

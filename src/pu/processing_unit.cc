@@ -61,7 +61,7 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     createMask_ = create_mask;
     forwardedMask_ = RegMask();
     exitTarget_ = 0;
-    taskStats_ = TaskStats{};
+    taskInstructions_ = 0;
     for (int r = 0; r < kNumRegs; ++r) {
         RegState &st = regs_[size_t(r)];
         if (init_regs)
@@ -99,11 +99,10 @@ ProcessingUnit::setWriteOracle(const RegMask &may_write,
     oracleMayForward_ = may_forward;
 }
 
-TaskStats
+std::uint64_t
 ProcessingUnit::flush()
 {
     activity_ = true;
-    TaskStats out = taskStats_;
     window_.clear();
     nextDoneAt_ = kCycleNever;
     fetchBuf_.clear();
@@ -112,10 +111,10 @@ ProcessingUnit::flush()
     fetchEnabled_ = false;
     status_ = Status::kFree;
     ++stats_.tasksSquashed;
-    return out;
+    return taskInstructions_;
 }
 
-TaskStats
+std::uint64_t
 ProcessingUnit::retire()
 {
     panicIf(status_ != Status::kDone, "retire of a non-done unit");
@@ -136,10 +135,9 @@ ProcessingUnit::retire()
                 oracleMayForward_.toString(), "}");
     }
     activity_ = true;
-    TaskStats out = taskStats_;
     status_ = Status::kFree;
     ++stats_.tasksRetired;
-    return out;
+    return taskInstructions_;
 }
 
 std::array<RegValue, kNumRegs>
@@ -337,7 +335,7 @@ ProcessingUnit::writeback(const Slot &slot)
             forwardValue(dest, slot.result);
         }
     }
-    taskStats_.instructions += 1;
+    taskInstructions_ += 1;
     ++stats_.instructions;
 }
 
@@ -677,10 +675,9 @@ ProcessingUnit::memOpInFlight() const
 
 /**
  * Classify what this (non-free, zero-issue unless busy) cycle was
- * spent on. The refinement over the legacy CycleBreakdown is the
- * memory-wait category: a stall whose oldest obstacle is a memory
- * operation (in flight in the dcache, or retrying against a full
- * ARB) is distinguished from generic intra-task latency.
+ * spent on. A stall whose oldest obstacle is a memory operation (in
+ * flight in the dcache, or retrying against a full ARB) is memory
+ * wait, distinguished from generic intra-task latency.
  */
 CycleCat
 ProcessingUnit::classifyCycle(unsigned issued_count) const
@@ -721,61 +718,28 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
 }
 
 void
-ProcessingUnit::addToBreakdown(CycleCat cat, std::uint64_t n)
+ProcessingUnit::accountCycle(unsigned issued_count)
 {
-    // Legacy per-task breakdown (kRingWait maps to waitPred; both
-    // memory and generic latency stalls fold into waitIntra).
-    CycleBreakdown &cb = taskStats_.cycles;
-    switch (cat) {
-      case CycleCat::kBusy:
-        cb.busy += n;
-        break;
-      case CycleCat::kRingWait:
-        cb.waitPred += n;
-        break;
-      case CycleCat::kMemWait:
-      case CycleCat::kIntraWait:
-        cb.waitIntra += n;
-        break;
-      case CycleCat::kFetchStall:
-        cb.fetchStall += n;
-        break;
-      default:
-        cb.waitRetire += n;
-        break;
-    }
-}
-
-void
-ProcessingUnit::accountCycle(Cycle now, unsigned issued_count)
-{
-    (void)now;
-    if (status_ == Status::kFree)
-        return;
-    const CycleCat cat = classifyCycle(issued_count);
-    if (acct_)
-        acct_->recordPending(id_, cat);
-    addToBreakdown(cat, 1);
+    if (acct_ && status_ != Status::kFree)
+        acct_->recordPending(id_, classifyCycle(issued_count));
 }
 
 void
 ProcessingUnit::accountSkippedCycles(std::uint64_t n)
 {
+    if (!acct_)
+        return;
     if (status_ == Status::kFree) {
         // Idle cycles belong to no task; they go straight to the
         // accounting's final counts (the endCycle default).
-        if (acct_)
-            acct_->recordSkippedIdle(id_, n);
+        acct_->recordSkippedIdle(id_, n);
         return;
     }
     // During a skipped span the unit's state does not change (the
     // run loop proved no completion, fetch, dispatch, issue or
     // delivery can happen before the next event), so every skipped
     // cycle classifies exactly as the current state with zero issues.
-    const CycleCat cat = classifyCycle(0);
-    if (acct_)
-        acct_->recordSkipped(id_, cat, n);
-    addToBreakdown(cat, n);
+    acct_->recordSkipped(id_, classifyCycle(0), n);
 }
 
 Cycle
@@ -861,7 +825,7 @@ ProcessingUnit::tick(Cycle now)
     }
     autoReleasePhase();
     maybeFinish();
-    accountCycle(now, issued);
+    accountCycle(issued);
     if (tracer_ && tracer_->wants(TraceCat::kPu)) {
         tracer_->counter(TraceCat::kPu, occupancyName_, now, id_,
                          "window", window_.size(), "issued", issued);

@@ -51,40 +51,6 @@
 
 namespace msim {
 
-/** Where a unit's cycles go (paper section 3 accounting). */
-struct CycleBreakdown
-{
-    std::uint64_t busy = 0;        //!< issued at least one instruction
-    std::uint64_t waitPred = 0;    //!< stalled on a predecessor value
-    std::uint64_t waitIntra = 0;   //!< stalled on intra-task latency
-    std::uint64_t fetchStall = 0;  //!< window empty (icache, redirect)
-    std::uint64_t waitRetire = 0;  //!< task done, waiting to retire
-
-    std::uint64_t
-    total() const
-    {
-        return busy + waitPred + waitIntra + fetchStall + waitRetire;
-    }
-
-    CycleBreakdown &
-    operator+=(const CycleBreakdown &o)
-    {
-        busy += o.busy;
-        waitPred += o.waitPred;
-        waitIntra += o.waitIntra;
-        fetchStall += o.fetchStall;
-        waitRetire += o.waitRetire;
-        return *this;
-    }
-};
-
-/** Counters for one task execution, folded at retire or squash. */
-struct TaskStats
-{
-    std::uint64_t instructions = 0;
-    CycleBreakdown cycles;
-};
-
 /** A single processing unit. */
 class ProcessingUnit
 {
@@ -157,22 +123,22 @@ class ProcessingUnit
      * Account @p n fast-forwarded cycles: the run loop proved that
      * each of them would have recorded exactly the stall category
      * classifyCycle(0) yields on the current (unchanging) state, or
-     * idle when the unit is free. Updates the exact CycleAccounting
-     * and the legacy per-task breakdown identically to @p n ticks.
+     * idle when the unit is free. Updates the CycleAccounting
+     * identically to @p n ticks.
      */
     void accountSkippedCycles(std::uint64_t n);
 
     /**
      * Squash: discard all task state.
-     * @return the task's counters (squashed work).
+     * @return the task's executed instructions (squashed work).
      */
-    TaskStats flush();
+    std::uint64_t flush();
 
     /**
      * Retire the (done) task at the head.
-     * @return the task's counters (useful work).
+     * @return the task's executed instructions (useful work).
      */
-    TaskStats retire();
+    std::uint64_t retire();
 
     /** A register value arriving over the ring from @p producer. */
     void deliverForward(RegIndex reg, isa::RegValue value,
@@ -225,8 +191,8 @@ class ProcessingUnit
         return status_ == Status::kExited || status_ == Status::kDone;
     }
 
-    /** Counters of the task currently in flight. */
-    const TaskStats &currentTaskStats() const { return taskStats_; }
+    /** Instructions the task in flight has executed so far. */
+    std::uint64_t taskInstructions() const { return taskInstructions_; }
 
   private:
     /** Per-register scoreboard state. */
@@ -292,8 +258,7 @@ class ProcessingUnit
     void dispatchPhase(Cycle now);
     void fetchPhase(Cycle now);
     void autoReleasePhase();
-    void accountCycle(Cycle now, unsigned issued_count);
-    void addToBreakdown(CycleCat cat, std::uint64_t n);
+    void accountCycle(unsigned issued_count);
 
     // --- helpers -----------------------------------------------------
     CycleCat classifyCycle(unsigned issued_count) const;
@@ -345,7 +310,7 @@ class ProcessingUnit
     RegMask createMask_;
     RegMask forwardedMask_;
     Addr exitTarget_ = 0;
-    TaskStats taskStats_;
+    std::uint64_t taskInstructions_ = 0;
 
     // --- write-set oracle ---------------------------------------------
     bool oracleArmed_ = false;

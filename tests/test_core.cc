@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "asm/assembler.hh"
 #include "config/machine_shape.hh"
 #include "core/multiscalar_processor.hh"
@@ -400,6 +403,81 @@ ELSEWHERE:
     MsConfig cfg;
     MultiscalarProcessor proc(prog, cfg);
     EXPECT_THROW(proc.run(10000), PanicError);
+}
+
+/** @return the PanicError message @p body throws ("" if none). */
+template <class F>
+std::string
+panicMessage(F &&body)
+{
+    try {
+        body();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** @return the watchdog's dump line for a task starting at @p start. */
+std::string
+stuckUnitLine(unsigned unit, TaskSeq seq, Addr start,
+              const std::string &awaiting)
+{
+    std::ostringstream os;
+    os << "\n  unit " << unit << " seq " << seq << " task@0x" << std::hex
+       << start << std::dec << " status "
+       << int(ProcessingUnit::Status::kRunning) << " awaiting {"
+       << awaiting << "}";
+    return os.str();
+}
+
+// Both watchdog tests jump off the text segment: fetch stops, so no
+// component has a next event (fast-forward sees kCycleNever and falls
+// back to stepping) and only the no-progress watchdog ends the run.
+
+TEST(Core, ScalarWatchdogDumpsTheStalledUnit)
+{
+    assembler::AsmOptions opts;
+    opts.multiscalar = false;
+    Program prog = assembler::assemble(R"(
+        .text
+main:   lui  $8, 0x7000
+        jr   $8
+    )", opts);
+    ScalarProcessor proc(prog, ScalarConfig{});
+    const std::string msg =
+        panicMessage([&] { proc.run(1'000'000); });
+    EXPECT_NE(msg.find("scalar processor made no progress for 100000 "
+                       "cycles (deadlock?). State:"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(stuckUnitLine(0, 0, prog.entry, "")),
+              std::string::npos)
+        << msg;
+}
+
+TEST(Core, MultiscalarWatchdogDumpsTheStalledUnit)
+{
+    // A terminal task (no targets) that never exits: the walk stops
+    // behind it and $9, which it may create, is never forwarded.
+    Program prog = ms(R"(
+        .text
+main:   lui  $8, 0x7000
+        jr   $8
+.task main
+.create $9
+.endtask
+    )");
+    MultiscalarProcessor proc(prog, MsConfig{});
+    const std::string msg =
+        panicMessage([&] { proc.run(1'000'000); });
+    EXPECT_NE(msg.find("multiscalar processor made no progress for "
+                       "100000 cycles (deadlock?). State:"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(stuckUnitLine(0, 1, prog.entry, "$9")),
+              std::string::npos)
+        << msg;
 }
 
 TEST(Core, InvalidConfigFailsAtConstruction)

@@ -515,26 +515,6 @@ TEST(CycleAccounting, MultiscalarRunSumsToCyclesTimesUnits)
     }
 }
 
-TEST(CycleAccounting, AgreesWithLegacyBreakdown)
-{
-    RunSpec spec;
-    spec.multiscalar = true;
-    spec.ms.numUnits = 8;
-    RunResult r = runWorkload(workloads::get("compress"), spec);
-    const CycleAccountingResult &a = r.accounting;
-
-    // Committed tasks keep their recorded categories, so the useful
-    // buckets must match the legacy per-task breakdown exactly; all
-    // squashed work lands in kSquashed.
-    EXPECT_EQ(a[CycleCat::kBusy], r.usefulCycles.busy);
-    EXPECT_EQ(a[CycleCat::kRingWait], r.usefulCycles.waitPred);
-    EXPECT_EQ(a[CycleCat::kMemWait] + a[CycleCat::kIntraWait],
-              r.usefulCycles.waitIntra);
-    EXPECT_EQ(a[CycleCat::kFetchStall], r.usefulCycles.fetchStall);
-    EXPECT_EQ(a[CycleCat::kRetireWait], r.usefulCycles.waitRetire);
-    EXPECT_EQ(a[CycleCat::kSquashed], r.squashedCycles.total());
-}
-
 TEST(CycleAccounting, ScalarRunSumsToCycles)
 {
     RunSpec spec;

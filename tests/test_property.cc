@@ -15,13 +15,30 @@
  * asserts the exact cycle-accounting invariant and the multiscalar
  * default shape is additionally run with the quiescence fast-forward
  * disabled: the cycle counts must be bit-identical either way.
+ *
+ * Neither check pins the timing itself: the reference compares only
+ * outputs, and a timing change that moves both fast-forward sides
+ * alike passes the differential. So every seed's cycle counts, plus
+ * a digest of every run's eight cycle-accounting totals, must also
+ * match the checked-in snapshot tests/golden/fuzz_cycles.json.
+ * Regenerating it after an *intended* timing change:
+ *
+ *     cd build && MSIM_REGEN_GOLDEN=1 ./tests/test_property
+ *
+ * rewrites the rows of the seeds that ran (the path is baked in via
+ * the MSIM_GOLDEN_DIR compile definition) and keeps the others.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "common/rng.hh"
@@ -323,6 +340,129 @@ generateProgram(std::uint64_t seed)
     return os.str();
 }
 
+/** One seed's timing: cycles of every run, digest of its accounting. */
+struct FuzzTiming
+{
+    std::vector<std::uint64_t> cycles;
+    /** FNV-1a 64 over every run's eight CycleCat totals. */
+    std::uint64_t digest = 14695981039346656037ull;
+
+    /** Fold @p r's accounting totals into the digest. */
+    void
+    fold(const RunResult &r)
+    {
+        for (std::uint64_t v : r.accounting.total) {
+            for (int byte = 0; byte < 8; ++byte) {
+                digest ^= (v >> (8 * byte)) & 0xff;
+                digest *= 1099511628211ull;
+            }
+        }
+    }
+
+    /** Record @p r's cycle count and fold its accounting. */
+    void
+    add(const RunResult &r)
+    {
+        cycles.push_back(r.cycles);
+        fold(r);
+    }
+};
+
+std::string
+fuzzGoldenPath()
+{
+    return std::string(MSIM_GOLDEN_DIR) + "/fuzz_cycles.json";
+}
+
+bool
+regenMode()
+{
+    const char *env = std::getenv("MSIM_REGEN_GOLDEN");
+    return env && *env && std::string(env) != "0";
+}
+
+/** Parse the snapshot: one `{ "seed": N, "cycles": [...], ... }` a line. */
+std::map<int, FuzzTiming>
+readFuzzGolden()
+{
+    std::map<int, FuzzTiming> rows;
+    std::ifstream in(fuzzGoldenPath());
+    std::string line;
+    while (std::getline(in, line)) {
+        const size_t seed_at = line.find("\"seed\":");
+        const size_t open = line.find('[');
+        const size_t close = line.find(']');
+        const size_t digest_at = line.find("\"digest\": \"");
+        if (seed_at == std::string::npos || open == std::string::npos ||
+            close == std::string::npos || digest_at == std::string::npos)
+            continue;
+        FuzzTiming row;
+        const char *p = line.c_str() + open + 1;
+        const char *end = line.c_str() + close;
+        while (p < end) {
+            char *next = nullptr;
+            row.cycles.push_back(std::strtoull(p, &next, 10));
+            p = next + 1;  // past the comma
+        }
+        row.digest = std::strtoull(line.c_str() + digest_at + 11,
+                                   nullptr, 16);
+        rows[std::atoi(line.c_str() + seed_at + 7)] = row;
+    }
+    return rows;
+}
+
+const std::map<int, FuzzTiming> &
+fuzzGolden()
+{
+    static const std::map<int, FuzzTiming> rows = readFuzzGolden();
+    return rows;
+}
+
+/** Rows measured in MSIM_REGEN_GOLDEN=1 mode. */
+std::map<int, FuzzTiming> &
+regenRows()
+{
+    static std::map<int, FuzzTiming> rows;
+    return rows;
+}
+
+/** Writes the regenerated snapshot after all seeds ran. */
+class FuzzRegenWriter : public ::testing::Environment
+{
+  public:
+    void
+    TearDown() override
+    {
+        if (!regenMode() || regenRows().empty())
+            return;
+        std::map<int, FuzzTiming> rows = readFuzzGolden();
+        for (const auto &[seed, row] : regenRows())
+            rows[seed] = row;
+        std::ofstream out(fuzzGoldenPath());
+        ASSERT_TRUE(out.good())
+            << "cannot write golden file " << fuzzGoldenPath();
+        out << "{\n  \"schema\": \"msim-golden-fuzz-v1\",\n"
+            << "  \"rows\": [\n";
+        size_t i = 0;
+        for (const auto &[seed, row] : rows) {
+            out << "    { \"seed\": " << seed << ", \"cycles\": [";
+            for (size_t k = 0; k < row.cycles.size(); ++k)
+                out << (k ? ", " : "") << row.cycles[k];
+            char digest[19];
+            std::snprintf(digest, sizeof(digest), "0x%016llx",
+                          static_cast<unsigned long long>(row.digest));
+            out << "], \"digest\": \"" << digest << "\" }"
+                << (++i < rows.size() ? "," : "") << "\n";
+        }
+        out << "  ]\n}\n";
+        std::printf("regenerated %s (%zu rows)\n",
+                    fuzzGoldenPath().c_str(), rows.size());
+    }
+};
+
+const ::testing::Environment *const kFuzzRegenWriter =
+    ::testing::AddGlobalTestEnvironment(new FuzzRegenWriter);
+
 class RandomProgram : public ::testing::TestWithParam<int>
 {
 };
@@ -342,6 +482,7 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
 
     ReferenceResult ref = referenceRun(sc_prog);
     ASSERT_TRUE(ref.exited);
+    FuzzTiming timing;
 
     {
         ScalarProcessor scalar(sc_prog, ScalarConfig{});
@@ -352,6 +493,7 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
         EXPECT_EQ(r.accounting.sum(),
                   r.cycles * r.accounting.numUnits)
             << "scalar accounting invariant\n" << src;
+        timing.add(r);
     }
 
     struct Shape
@@ -469,6 +611,7 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
                   r.cycles * r.accounting.numUnits)
             << shape.name << " accounting invariant\n" << src;
         arbViolations += r.memorySquashes;
+        timing.add(r);
     }
     // Every one of these violations passed through the mem-dep
     // oracle's containment check above (a miss panics); record the
@@ -500,6 +643,8 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
         RunResult on = on_proc.run(5'000'000);
         RunResult off = off_proc.run(5'000'000);
         ASSERT_TRUE(on.exited && off.exited) << tag << "\n" << src;
+        timing.add(on);
+        timing.fold(off);
         EXPECT_EQ(on.cycles, off.cycles)
             << tag << " fast-forward drift\n" << src;
         EXPECT_EQ(on.output, off.output) << tag << "\n" << src;
@@ -527,6 +672,20 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
         l2_cfg.l2->inclusion = L2Inclusion::kInclusive;
         ffDifferential(l2_cfg, "tiny inclusive L2 + slow bus");
     }
+
+    // Cycles: scalar, the eight shapes, then the two fast-forward
+    // configs (their FF-off twins fold into the digest only).
+    if (regenMode()) {
+        regenRows()[GetParam()] = timing;
+        return;
+    }
+    const auto it = fuzzGolden().find(GetParam());
+    ASSERT_NE(it, fuzzGolden().end())
+        << "no row for seed " << GetParam() << " in " << fuzzGoldenPath()
+        << " — regenerate with MSIM_REGEN_GOLDEN=1 (see file header)";
+    EXPECT_EQ(timing.cycles, it->second.cycles) << "seed " << GetParam();
+    EXPECT_EQ(timing.digest, it->second.digest)
+        << "seed " << GetParam() << " cycle-accounting digest";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,

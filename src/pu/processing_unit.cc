@@ -276,9 +276,8 @@ ProcessingUnit::exitTask(Addr successor)
 }
 
 void
-ProcessingUnit::resolveBranch(Slot &slot, size_t index, Cycle now)
+ProcessingUnit::resolveBranch(Slot &slot, size_t index)
 {
-    (void)now;
     const Instruction &inst = *slot.inst;
     const bool taken = slot.branch.taken;
     const Addr fallthrough = slot.pc + kInstrBytes;
@@ -360,7 +359,7 @@ ProcessingUnit::completePhase(Cycle now)
         writeback(slot);
         const Instruction &inst = *slot.inst;
         if (inst.isControlOp()) {
-            resolveBranch(slot, i, now);
+            resolveBranch(slot, i);
             if (status_ != Status::kRunning)
                 break;
         } else if (inst.tags.stop == StopKind::kAlways) {
@@ -492,7 +491,7 @@ ProcessingUnit::tryIssue(Slot &slot, Cycle now)
 }
 
 unsigned
-ProcessingUnit::issuePhase(Cycle now)
+ProcessingUnit::issuePhase(Cycle now, bool &saw_ready)
 {
     unsigned issued = 0;
     OlderUnissued older;
@@ -507,11 +506,15 @@ ProcessingUnit::issuePhase(Cycle now)
                 break;
             continue;
         }
-        if (slotReady(slot, i, older) && tryIssue(slot, now)) {
-            ++issued;
-            if (isBarrier(*slot.inst))
-                break;
-            continue;
+        if (slotReady(slot, i, older)) {
+            if (tryIssue(slot, now)) {
+                ++issued;
+                if (isBarrier(*slot.inst))
+                    break;
+                continue;
+            }
+            // Held back by FU capacity or a full ARB: retry next cycle.
+            saw_ready = true;
         }
         // In-order issue stalls at the first non-ready instruction;
         // out-of-order may look further (but never past a barrier).
@@ -639,17 +642,6 @@ ProcessingUnit::autoReleasePhase()
     maybeFinish();
 }
 
-bool
-ProcessingUnit::anyInFlight() const
-{
-    for (size_t i = 0; i < window_.size(); ++i) {
-        const Slot &slot = window_[i];
-        if (slot.issued && !slot.done)
-            return true;
-    }
-    return false;
-}
-
 void
 ProcessingUnit::maybeFinish()
 {
@@ -720,8 +712,10 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
 void
 ProcessingUnit::accountCycle(unsigned issued_count)
 {
-    if (acct_ && status_ != Status::kFree)
-        acct_->recordPending(id_, classifyCycle(issued_count));
+    if (acct_ && status_ != Status::kFree) {
+        sleepCat_ = classifyCycle(issued_count);
+        acct_->recordPending(id_, sleepCat_);
+    }
 }
 
 void
@@ -735,11 +729,17 @@ ProcessingUnit::accountSkippedCycles(std::uint64_t n)
         acct_->recordSkippedIdle(id_, n);
         return;
     }
-    // During a skipped span the unit's state does not change (the
-    // run loop proved no completion, fetch, dispatch, issue or
-    // delivery can happen before the next event), so every skipped
-    // cycle classifies exactly as the current state with zero issues.
-    acct_->recordSkipped(id_, classifyCycle(0), n);
+    // During a skipped span the unit sleeps (the run loop proved no
+    // completion, fetch, dispatch, issue or delivery can happen
+    // before the next event), so every skipped cycle records what its
+    // last, inert tick did.
+    acct_->recordSkipped(id_, sleepCat_, n);
+}
+
+bool
+ProcessingUnit::syscallFlipped() const
+{
+    return pollSyscall_ && ctx_.syscallAllowed(id_) != syscallAllowed_;
 }
 
 Cycle
@@ -747,73 +747,75 @@ ProcessingUnit::nextEventCycle(Cycle now) const
 {
     if (status_ == Status::kFree)
         return kCycleNever;
+    return syscallFlipped() ? now + 1 : wakeAt_;
+}
+
+void
+ProcessingUnit::scheduleWake(Cycle now, bool saw_ready)
+{
     const Cycle soon = now + 1;
-    Cycle next = kCycleNever;
-    // Walk the window exactly like issuePhase: only slots the issue
-    // logic can actually reach count as potential issue events. An
-    // unreachable ready slot (past an in-order stall or a barrier)
-    // cannot act before one of the in-flight completions below.
-    bool issue_blocked = false;
-    OlderUnissued older;
-    for (size_t i = 0; i < window_.size(); ++i) {
-        const Slot &slot = window_[i];
-        if (slot.done)
-            continue;
-        if (slot.issued) {
-            // In-flight work completes at a known cycle.
-            if (slot.doneAt < next)
-                next = slot.doneAt;
-            if (isBarrier(*slot.inst))
-                issue_blocked = true;  // no issue past it until done
-            continue;
-        }
-        if (!issue_blocked && slotReady(slot, i, older)) {
-            // Operand-ready and reachable (held back only by issue
-            // width, FU capacity, memory ordering retry, or a full
-            // ARB): it may issue next cycle. Conservative — never
-            // skip while anything could issue.
-            return soon;
-        }
-        // Non-ready: in-order issue looks no further; out-of-order
-        // continues, but never past a barrier.
-        if (!config_.outOfOrder || isBarrier(*slot.inst))
-            issue_blocked = true;
-        older.add(slot);
+    pollSyscall_ = false;
+    if (activity_ || saw_ready) {
+        // Changed state, or a ready slot retries FU capacity or a
+        // full ARB: the unit may act again next cycle.
+        wakeAt_ = soon;
+        return;
     }
+    // Nothing changed, so every slot issuePhase could reach waits on
+    // an operand, an older slot or a permission: only a completion,
+    // a dispatch or a fetch can act before an external input.
+    Cycle next = nextDoneAt_;
     if (status_ == Status::kRunning) {
-        // Dispatch: decoded instructions move into a non-full window.
-        if (!fetchBuf_.empty() && window_.size() < config_.windowSize) {
-            const Cycle ready = fetchBuf_.front().readyAt;
-            next = std::min(next, ready > soon ? ready : soon);
-        }
-        // Fetch: either an icache miss resolves at a known cycle, or
-        // the icache would be accessed (a side effect) next cycle.
+        if (!fetchBuf_.empty() && window_.size() < config_.windowSize)
+            next = std::min(next, fetchBuf_.front().readyAt);
         if (fetchEnabled_ && !awaitRedirect_ &&
             fetchBuf_.size() + config_.issueWidth <=
-                config_.fetchBufferSize) {
-            if (pendingFetchReady_ != 0)
-                next = std::min(next, pendingFetchReady_ > soon
-                                          ? pendingFetchReady_
-                                          : soon);
-            else
-                return soon;
-        }
+                config_.fetchBufferSize)
+            next = std::min(next, pendingFetchReady_ != 0
+                                      ? pendingFetchReady_
+                                      : soon);
     }
-    return next;
+    wakeAt_ = next;
+    // The one context answer a stalled unit reads: the permission of
+    // an un-issued syscall at the window head.
+    if (!window_.empty() && !window_.front().issued &&
+        window_.front().inst->cls() == InstClass::kSyscall) {
+        pollSyscall_ = true;
+        syscallAllowed_ = ctx_.syscallAllowed(id_);
+    }
+}
+
+void
+ProcessingUnit::traceOccupancy(Cycle now, unsigned issued)
+{
+    if (tracer_ && tracer_->wants(TraceCat::kPu)) {
+        tracer_->counter(TraceCat::kPu, occupancyName_, now, id_,
+                         "window", window_.size(), "issued", issued);
+    }
 }
 
 void
 ProcessingUnit::tick(Cycle now)
 {
-    activity_ = false;
     if (status_ == Status::kFree) {
+        activity_ = false;
         return;
     }
+    if (!activity_ && now < wakeAt_ && !syscallFlipped()) {
+        // Asleep: nothing changed since the last, inert tick and no
+        // event is due, so a full tick would record the same stall.
+        if (acct_)
+            acct_->recordPending(id_, sleepCat_);
+        traceOccupancy(now, 0);
+        return;
+    }
+    activity_ = false;
     fuAccepts_.fill(0);
     completePhase(now);
     unsigned issued = 0;
+    bool saw_ready = false;
     if (status_ == Status::kRunning || status_ == Status::kExited)
-        issued = issuePhase(now);
+        issued = issuePhase(now, saw_ready);
     if (issued > 0)
         activity_ = true;
     dispatchPhase(now);
@@ -826,10 +828,8 @@ ProcessingUnit::tick(Cycle now)
     autoReleasePhase();
     maybeFinish();
     accountCycle(issued);
-    if (tracer_ && tracer_->wants(TraceCat::kPu)) {
-        tracer_->counter(TraceCat::kPu, occupancyName_, now, id_,
-                         "window", window_.size(), "issued", issued);
-    }
+    scheduleWake(now, saw_ready);
+    traceOccupancy(now, issued);
 }
 
 } // namespace msim

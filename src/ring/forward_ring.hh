@@ -6,11 +6,12 @@
  * Each hop imposes one cycle of communication latency, and the ring
  * width matches the issue width of the units: at most `width`
  * messages may enter a unit's outbound link per cycle; excess
- * messages queue. A message delivered to a unit may continue around
- * the ring (the receiver decides: propagation stops at a unit whose
- * own create mask contains the register, because that unit will send
- * a fresher value to its successors). A message that has visited all
- * other units is dropped.
+ * messages queue. A message delivered to a unit continues around the
+ * ring while the delivery callback returns true; the multiscalar core
+ * always does, so every value visits all other units (its ringPhase
+ * explains why stopping early at a unit whose create mask holds the
+ * register would starve consumers once the task window wraps). A
+ * message that has visited all other units is dropped.
  */
 
 #ifndef MSIM_RING_FORWARD_RING_HH

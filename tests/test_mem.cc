@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "mem/banked_dcache.hh"
@@ -43,8 +46,64 @@ TEST(MainMemory, CrossPageAccess)
     const Addr addr = 0x1ffe;  // straddles a 4 KiB page boundary
     mem.write(addr, 0x1122334455667788ull, 8);
     EXPECT_EQ(mem.read(addr, 8), 0x1122334455667788ull);
-    EXPECT_EQ(mem.read(0x2000, 4), 0x11223344u >> 8*0 & 0xffffffffu
-              ? mem.read(0x2000, 4) : 0u);  // sanity: no throw
+    EXPECT_EQ(mem.read(0x2000, 4), 0x33445566u);
+    EXPECT_EQ(mem.read(0x1ffe, 2), 0x7788u);
+}
+
+TEST(MainMemory, BulkCopiesCrossPages)
+{
+    MainMemory mem;
+    // 10000 bytes from 0x2ff0 span four 4 KiB pages, the first and
+    // last only partly.
+    std::vector<std::uint8_t> in(10000);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = std::uint8_t(i * 7 + 1);
+    mem.writeBytes(0x2ff0, in.data(), in.size());
+    EXPECT_EQ(mem.read(0x2fef, 1), 0u);
+    EXPECT_EQ(mem.read(0x2ff0 + Addr(in.size()), 1), 0u);
+    EXPECT_EQ(mem.read(0x3000, 1), in[0x10]);
+    EXPECT_EQ(mem.read(0x2ffe, 4),
+              std::uint64_t(in[14]) | std::uint64_t(in[15]) << 8 |
+                  std::uint64_t(in[16]) << 16 |
+                  std::uint64_t(in[17]) << 24);
+    std::vector<std::uint8_t> out(in.size() + 32, 0xee);
+    mem.readBytes(0x2fe0, out.data(), out.size());
+    for (size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(out[i], 0u) << i;
+    for (size_t i = 0; i < in.size(); ++i)
+        ASSERT_EQ(out[16 + i], in[i]) << i;
+    for (size_t i = 16 + in.size(); i < out.size(); ++i)
+        EXPECT_EQ(out[i], 0u) << i;
+
+    // A string that starts on one page and ends on the next.
+    const char *s = "page-straddling string";
+    mem.writeBytes(0x5ff8, reinterpret_cast<const std::uint8_t *>(s),
+                   std::strlen(s) + 1);
+    EXPECT_EQ(mem.readString(0x5ff8), s);
+    EXPECT_EQ(mem.readString(0x6000), s + 8);
+}
+
+TEST(MainMemory, AccessWrapsFromTopOfAddressSpace)
+{
+    MainMemory mem;
+    mem.write(0xfffffffe, 0xaabbccdd, 4);
+    EXPECT_EQ(mem.read(0xfffffffe, 4), 0xaabbccddu);
+    EXPECT_EQ(mem.read(0xffffffff, 1), 0xccu);
+    EXPECT_EQ(mem.read(0x0, 2), 0xaabbu);
+
+    const std::uint8_t in[6] = {1, 2, 3, 4, 5, 6};
+    mem.writeBytes(0xfffffffd, in, 6);
+    EXPECT_EQ(mem.read(0xfffffffd, 1), 1u);
+    EXPECT_EQ(mem.read(0x0, 4), 0x00060504u);
+    std::uint8_t out[6] = {};
+    mem.readBytes(0xfffffffd, out, 6);
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_EQ(out[i], in[i]) << i;
+
+    const char *s = "wrap";
+    mem.writeBytes(0xfffffffe, reinterpret_cast<const std::uint8_t *>(s),
+                   5);
+    EXPECT_EQ(mem.readString(0xfffffffe), "wrap");
 }
 
 TEST(MainMemory, BulkAndString)

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace msim::analysis {
 
 const char *
@@ -101,43 +103,6 @@ AnalysisReport::infoCount() const
     return countOf(diagnostics, Severity::kInfo);
 }
 
-namespace {
-
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 AnalysisReport::toText() const
 {
@@ -187,12 +152,12 @@ AnalysisReport::toJson() const
         first = false;
         os << "    {\"pass\": \"" << passName(d.pass) << "\", "
            << "\"severity\": \"" << severityName(d.severity) << "\", "
-           << "\"task\": \"" << jsonEscape(d.taskName) << "\", "
+           << "\"task\": \"" << json::escape(d.taskName) << "\", "
            << "\"pc\": " << d.pc << ", "
            << "\"reg\": " << int(d.reg) << ", "
-           << "\"file\": \"" << jsonEscape(d.file) << "\", "
+           << "\"file\": \"" << json::escape(d.file) << "\", "
            << "\"line\": " << d.line << ", "
-           << "\"message\": \"" << jsonEscape(d.message) << "\"}";
+           << "\"message\": \"" << json::escape(d.message) << "\"}";
     }
     os << (first ? "]" : "\n  ]") << "\n}\n";
     return os.str();

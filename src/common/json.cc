@@ -103,7 +103,7 @@ Value::set(const std::string &key, Value v)
 }
 
 std::string
-escape(const std::string &s)
+escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 
+#include "common/json.hh"
 #include "trace/cycle_accounting.hh"
 
 namespace msim::exp {
@@ -76,31 +77,6 @@ ReportTable::count(std::uint64_t v)
     return std::to_string(v);
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace {
 
 /** One msim-sweep-v1 cell row, an element of the "cells" array. */
@@ -111,14 +87,14 @@ writeJsonCell(std::ostream &os, const CellResult &c)
     const std::string indent = "    ";
     const std::string in = indent + "  ";
     os << indent << "{\n";
-    os << in << "\"name\": \"" << jsonEscape(c.name) << "\",\n";
-    os << in << "\"workload\": \"" << jsonEscape(c.workload)
+    os << in << "\"name\": \"" << json::escape(c.name) << "\",\n";
+    os << in << "\"workload\": \"" << json::escape(c.workload)
        << "\",\n";
     os << in << "\"ok\": " << (c.ok ? "true" : "false") << ",\n";
     if (c.ok)
         os << in << "\"error\": null,\n";
     else
-        os << in << "\"error\": \"" << jsonEscape(c.error) << "\",\n";
+        os << in << "\"error\": \"" << json::escape(c.error) << "\",\n";
     os << in << "\"wall_seconds\": " << c.wallSeconds << ",\n";
     os << in << "\"cycles\": " << r.cycles << ",\n";
     os << in << "\"instructions\": " << r.instructions << ",\n";
@@ -154,7 +130,7 @@ writeJsonReport(std::ostream &os, const SweepResult &sweep)
 {
     os << "{\n";
     os << "  \"schema\": \"msim-sweep-v1\",\n";
-    os << "  \"experiment\": \"" << jsonEscape(sweep.experiment)
+    os << "  \"experiment\": \"" << json::escape(sweep.experiment)
        << "\",\n";
     os << "  \"jobs\": " << sweep.jobs << ",\n";
     os << "  \"wall_seconds\": " << sweep.wallSeconds << ",\n";

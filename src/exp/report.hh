@@ -57,9 +57,6 @@ class ReportTable
  */
 void writeJsonReport(std::ostream &os, const SweepResult &sweep);
 
-/** JSON-escape a string (exposed for tests). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace msim::exp
 
 #endif // MSIM_EXP_REPORT_HH

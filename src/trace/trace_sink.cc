@@ -1,44 +1,9 @@
 #include "trace/trace_sink.hh"
 
-#include <cstdio>
-
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace msim {
-
-namespace {
-
-/** JSON-escape @p s into @p os (quotes, backslashes, controls). */
-void
-jsonEscape(std::ostream &os, std::string_view s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
-} // namespace
 
 // --------------------------------------------------------------------
 // ChromeTraceSink
@@ -73,7 +38,7 @@ void
 ChromeTraceSink::writeCommon(const TraceEvent &event)
 {
     *os_ << "{\"name\":\"";
-    jsonEscape(*os_, event.name);
+    *os_ << json::escape(event.name);
     *os_ << "\",\"cat\":\"" << traceCatName(event.cat) << "\",\"ph\":\""
          << char(event.ph) << "\",\"ts\":" << event.ts
          << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid;
@@ -90,11 +55,11 @@ ChromeTraceSink::write(const TraceEvent &event)
         *os_ << ",\"s\":\"t\"";  // instant scope: thread
     if (!event.key1.empty()) {
         *os_ << ",\"args\":{\"";
-        jsonEscape(*os_, event.key1);
+        *os_ << json::escape(event.key1);
         *os_ << "\":" << event.val1;
         if (!event.key2.empty()) {
             *os_ << ",\"";
-            jsonEscape(*os_, event.key2);
+            *os_ << json::escape(event.key2);
             *os_ << "\":" << event.val2;
         }
         *os_ << "}";
@@ -108,7 +73,7 @@ ChromeTraceSink::threadName(std::uint32_t tid, std::string_view name)
     comma();
     *os_ << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
          << tid << ",\"args\":{\"name\":\"";
-    jsonEscape(*os_, name);
+    *os_ << json::escape(name);
     *os_ << "\"}}";
 }
 

@@ -17,6 +17,7 @@
 #include "analysis/mem_dep.hh"
 #include "analysis/verifier.hh"
 #include "asm/assembler.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
@@ -502,6 +503,23 @@ TEST(Analysis, TextAndJsonReportsCarryTheDiagnostic)
         << json;
     EXPECT_NE(json.find("\"error\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"bad.ms.s\""), std::string::npos) << json;
+
+    // The whole report parses, and each diagnostic's strings read back
+    // unchanged.
+    const json::Value doc = json::Value::parse(json);
+    EXPECT_EQ(doc.find("schema")->asString(), "msim-lint-v1");
+    EXPECT_EQ(doc.find("errors")->asInt(), std::int64_t(rep.errorCount()));
+    const json::Value *diags = doc.find("diagnostics");
+    ASSERT_NE(diags, nullptr);
+    ASSERT_EQ(diags->items().size(), rep.diagnostics.size());
+    for (std::size_t i = 0; i < rep.diagnostics.size(); ++i) {
+        const json::Value &row = diags->items()[i];
+        const analysis::Diagnostic &d = rep.diagnostics[i];
+        EXPECT_EQ(row.find("task")->asString(), d.taskName);
+        EXPECT_EQ(row.find("file")->asString(), d.file);
+        EXPECT_EQ(row.find("line")->asInt(), d.line);
+        EXPECT_EQ(row.find("message")->asString(), d.message);
+    }
 }
 
 TEST(Analysis, StrictAssemblerRejectsUnsoundProgram)

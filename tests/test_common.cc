@@ -351,6 +351,21 @@ TEST(Json, RejectsMalformedText)
     EXPECT_THROW(Value::parse("01"), json::ParseError);
 }
 
+TEST(Json, EscapeRoundTripsEveryAsciiByte)
+{
+    // Every emitter writes its strings through json::escape, so what
+    // it writes must read back as the input, byte for byte.
+    std::string all;
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        const std::string one(1, char(c));
+        EXPECT_EQ(Value::parse('"' + json::escape(one) + '"').asString(),
+                  one)
+            << "byte " << c;
+        all += one;
+    }
+    EXPECT_EQ(Value::parse('"' + json::escape(all) + '"').asString(), all);
+}
+
 TEST(Json, BoundsRecursionDepth)
 {
     std::string deep(100, '[');

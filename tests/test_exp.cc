@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
@@ -149,6 +150,25 @@ TEST(SweepScheduler, CapturesCellFailuresAndKeepsReportRows)
     // No raw control characters may survive escaping.
     for (char c : json)
         EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20);
+
+    // The whole report parses, and every row reads back its cell: the
+    // failure's error string comes back unchanged.
+    const json::Value doc = json::Value::parse(json);
+    EXPECT_EQ(doc.find("schema")->asString(), "msim-sweep-v1");
+    EXPECT_EQ(doc.find("experiment")->asString(), "failing");
+    EXPECT_EQ(doc.find("cells_failed")->asInt(), 1);
+    const json::Value *cells = doc.find("cells");
+    ASSERT_NE(cells, nullptr);
+    ASSERT_EQ(cells->items().size(), 3u);
+    for (const json::Value &row : cells->items()) {
+        const exp::CellResult &c = r.cell(row.find("name")->asString());
+        EXPECT_EQ(row.find("workload")->asString(), c.workload);
+        EXPECT_EQ(row.find("ok")->asBool(), c.ok);
+        if (c.ok)
+            EXPECT_TRUE(row.find("error")->isNull());
+        else
+            EXPECT_EQ(row.find("error")->asString(), c.error);
+    }
 }
 
 TEST(SweepScheduler, DefaultJobsHonorsEnvironment)

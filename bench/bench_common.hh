@@ -4,13 +4,13 @@
  * engine (src/exp).
  *
  * bench_paper runs the paper's whole evaluation (section 5) in one
- * sweep; bench_ablation_l2 and bench_explore run the studies beyond
- * it. A binary declares its cells into an Experiment, the
- * SweepScheduler runs them on a worker pool (--jobs N / MSIM_JOBS),
- * and the report callback renders the paper-style tables from the
- * deterministic SweepResult. Results are identical whatever the job
- * count; --json FILE additionally emits the msim-sweep-v1
- * machine-readable report.
+ * sweep; bench_ablation_l2 runs the L2 study beyond it. A binary
+ * declares its cells into an Experiment, the SweepScheduler runs
+ * them on a worker pool (--jobs N / MSIM_JOBS), and the report
+ * callback renders the paper-style tables from the deterministic
+ * SweepResult. Results are identical whatever the job count;
+ * --json FILE additionally emits the msim-sweep-v1 machine-readable
+ * report.
  *
  * Per-cell failures are captured, not fatal: a failing cell keeps a
  * well-formed row (ok:false + error) in the JSON report and is

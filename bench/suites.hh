@@ -11,9 +11,10 @@
  * Every machine configuration comes from a shipped declarative shape
  * (the shapes/ directory, resolved through src/config) rather than
  * an inline MsConfig literal, so the grids the benches run are the
- * grids a user can reproduce with msim-explore or --machine. The
- * shape files encode the same configurations the literals used to;
- * the golden-cycle tests and the bench JSON reports are bit-identical
+ * grids a user can reproduce with Experiment::addShape or
+ * config::specForShape on the same preset names. The shape files
+ * encode the same configurations the literals used to; the
+ * golden-cycle tests and the bench JSON reports are bit-identical
  * across the switch.
  */
 

@@ -650,34 +650,4 @@ specForShape(const std::string &name_or_path)
     return toRunSpec(resolveShape(name_or_path));
 }
 
-std::vector<ShapeLint>
-lintShapeDir()
-{
-    std::vector<ShapeLint> out;
-    for (const std::string &name : listShapeNames()) {
-        ShapeLint lint;
-        lint.file = shapeDir() + "/" + name + ".json";
-        lint.name = name;
-        try {
-            const MachineShape shape = loadShapeFile(lint.file);
-            if (shape.name != name) {
-                lint.error = "shape name \"" + shape.name +
-                             "\" does not match file basename \"" +
-                             name + "\"";
-            } else {
-                // Round-trip identity: parse → serialize → parse.
-                const MachineShape again =
-                    parseShape(shapeToJson(shape).dump());
-                if (!shapeEquals(shape, again))
-                    lint.error = "canonical round-trip is not the "
-                                 "identity";
-            }
-        } catch (const FatalError &e) {
-            lint.error = e.what();
-        }
-        out.push_back(std::move(lint));
-    }
-    return out;
-}
-
 } // namespace msim::config

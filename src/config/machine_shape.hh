@@ -104,23 +104,6 @@ RunSpec toRunSpec(const MachineShape &shape);
 /** Convenience: resolveShape + toRunSpec. */
 RunSpec specForShape(const std::string &name_or_path);
 
-/** One file's lint verdict (error empty = clean). */
-struct ShapeLint
-{
-    std::string file;
-    std::string name;
-    std::string error;
-};
-
-/**
- * Validate every shape file in shapeDir(): it must parse, pass
- * MsConfig/ScalarConfig::validate(), carry a "name" matching its
- * basename, and round-trip (parse → serialize → parse) to an equal
- * value. Returns one entry per file; CI's config-lint gate fails on
- * any non-empty error.
- */
-std::vector<ShapeLint> lintShapeDir();
-
 } // namespace msim::config
 
 #endif // MSIM_CONFIG_MACHINE_SHAPE_HH

@@ -4,19 +4,15 @@
  * parsing with dotted-path diagnostics, canonical round-trip
  * identity, preset resolution, equivalence of the paper-default shape
  * with the default-constructed configs (including identical simulated
- * cycles), the hardware-cost proxy, and the explorer's Pareto
- * frontier.
+ * cycles).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
-#include "config/cost_model.hh"
 #include "config/machine_shape.hh"
-#include "exp/explore.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
 
@@ -49,12 +45,29 @@ expectParseError(const std::string &text, const std::string &path,
 
 TEST(Shapes, ShippedPresetsAllParseAndRoundTrip)
 {
+    // Every file in shapes/ parses and validates, carries the name of
+    // its basename, resolves by that name, and round-trips. A bad file
+    // fails on its own and the others are still checked.
     const std::vector<std::string> names = config::listShapeNames();
     ASSERT_GE(names.size(), 30u) << "shape dir " << config::shapeDir();
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
-        const MachineShape &shape = config::resolveShape(name);
+        const std::string file =
+            config::shapeDir() + "/" + name + ".json";
+        MachineShape shape;
+        try {
+            shape = config::loadShapeFile(file);
+        } catch (const FatalError &e) {
+            ADD_FAILURE() << e.what();
+            continue;
+        }
+        if (shape.multiscalar)
+            EXPECT_NO_THROW(shape.ms.validate());
+        else
+            EXPECT_NO_THROW(shape.scalar.validate());
         EXPECT_EQ(shape.name, name);
+        EXPECT_TRUE(
+            config::shapeEquals(shape, config::resolveShape(name)));
         // parse → serialize → parse is the identity.
         const MachineShape again =
             config::parseShape(config::shapeToJson(shape).dump());
@@ -62,14 +75,6 @@ TEST(Shapes, ShippedPresetsAllParseAndRoundTrip)
         EXPECT_EQ(config::shapeToJson(shape).dump(),
                   config::shapeToJson(again).dump());
     }
-}
-
-TEST(Shapes, LintShippedDirIsClean)
-{
-    const std::vector<config::ShapeLint> lints = config::lintShapeDir();
-    ASSERT_GE(lints.size(), 30u);
-    for (const config::ShapeLint &l : lints)
-        EXPECT_EQ(l.error, "") << l.file;
 }
 
 TEST(Shapes, PaperDefaultIsTheDefaultConstructedConfig)
@@ -352,166 +357,6 @@ TEST(ShapeSpec, ApplyShapeSetsModeAndMachine)
     // Run-control knobs stay at the library defaults.
     EXPECT_EQ(sc.maxCycles, RunSpec{}.maxCycles);
     EXPECT_TRUE(sc.checkOutput);
-}
-
-// ---------------------------------------------------------------------
-// The hardware-cost proxy.
-// ---------------------------------------------------------------------
-
-TEST(CostModel, MonotoneInTheExploredAxes)
-{
-    MsConfig base;
-    const double c0 = config::hardwareCostProxy(base);
-    EXPECT_GT(c0, 0.0);
-
-    MsConfig more_units = base;
-    more_units.numUnits = 8;
-    EXPECT_GT(config::hardwareCostProxy(more_units), c0);
-
-    MsConfig more_arb = base;
-    more_arb.arbEntriesPerBank = 1024;
-    EXPECT_GT(config::hardwareCostProxy(more_arb), c0);
-
-    MsConfig wider = base;
-    wider.pu.issueWidth = 2;
-    EXPECT_GT(config::hardwareCostProxy(wider), c0);
-
-    // Predictor cost ordering: pas > last > static.
-    MsConfig last = base;
-    last.predictor = "last";
-    MsConfig stat = base;
-    stat.predictor = "static";
-    EXPECT_GT(c0, config::hardwareCostProxy(last));
-    EXPECT_GT(config::hardwareCostProxy(last),
-              config::hardwareCostProxy(stat));
-
-    // An L2 costs more than no L2, and cost is monotone in its size.
-    MsConfig l2_small = base;
-    l2_small.l2.emplace();
-    l2_small.l2->sizeBytes = 64 * 1024;
-    MsConfig l2_big = l2_small;
-    l2_big.l2->sizeBytes = 1024 * 1024;
-    EXPECT_GT(config::hardwareCostProxy(l2_small), c0);
-    EXPECT_GT(config::hardwareCostProxy(l2_big),
-              config::hardwareCostProxy(l2_small));
-}
-
-// ---------------------------------------------------------------------
-// The Pareto frontier.
-// ---------------------------------------------------------------------
-
-TEST(Pareto, KeepsOnlyNonDominatedPoints)
-{
-    //              A     B     C     D
-    // cost:       10    20    30    40
-    // speedup:   1.0   2.0   1.5   2.0
-    // C is dominated by B (cheaper, faster); D by B (same speedup,
-    // cheaper); frontier = {A, B}, cost ascending.
-    const std::vector<std::size_t> f = exp::paretoFrontier(
-        {10, 20, 30, 40}, {1.0, 2.0, 1.5, 2.0});
-    ASSERT_EQ(f.size(), 2u);
-    EXPECT_EQ(f[0], 0u);
-    EXPECT_EQ(f[1], 1u);
-}
-
-TEST(Pareto, FailedPointsNeverQualify)
-{
-    // Speedup 0 marks a failed grid point: excluded even when cheap.
-    const std::vector<std::size_t> f =
-        exp::paretoFrontier({1, 10}, {0.0, 1.5});
-    ASSERT_EQ(f.size(), 1u);
-    EXPECT_EQ(f[0], 1u);
-}
-
-TEST(Pareto, IdenticalPointsAllSurvive)
-{
-    // Equal (cost, speedup) pairs do not dominate each other.
-    const std::vector<std::size_t> f =
-        exp::paretoFrontier({5, 5}, {2.0, 2.0});
-    EXPECT_EQ(f.size(), 2u);
-}
-
-TEST(Pareto, SortedByCostAscending)
-{
-    const std::vector<std::size_t> f = exp::paretoFrontier(
-        {40, 10, 20}, {4.0, 1.0, 2.0});
-    ASSERT_EQ(f.size(), 3u);
-    EXPECT_EQ(f[0], 1u);
-    EXPECT_EQ(f[1], 2u);
-    EXPECT_EQ(f[2], 0u);
-}
-
-// ---------------------------------------------------------------------
-// Explorer grid expansion.
-// ---------------------------------------------------------------------
-
-TEST(Explore, GridMatchesAxesAndDeduplicates)
-{
-    exp::ExploreAxes axes = exp::ExploreAxes::smoke();
-    EXPECT_EQ(exp::explorePoints(axes).size(), axes.numPoints());
-
-    axes.units = {2, 2, 4};
-    const std::vector<exp::ExplorePoint> points =
-        exp::explorePoints(axes);
-    EXPECT_EQ(points.size(), 2 * axes.ringHops.size() *
-                                 axes.arbEntries.size() *
-                                 axes.arbPolicies.size() *
-                                 axes.predictors.size());
-}
-
-TEST(Explore, PointIdsEncodeTheAxes)
-{
-    exp::ExploreAxes axes;
-    axes.units = {4};
-    axes.ringHops = {2};
-    axes.arbEntries = {32};
-    axes.arbPolicies = {"stall"};
-    axes.predictors = {"last"};
-    const std::vector<exp::ExplorePoint> points =
-        exp::explorePoints(axes);
-    ASSERT_EQ(points.size(), 1u);
-    EXPECT_EQ(points[0].id, "u4-r2-a32st-last");
-    EXPECT_EQ(points[0].ms.numUnits, 4u);
-    EXPECT_EQ(points[0].ms.ringHopLatency, 2u);
-    EXPECT_EQ(points[0].ms.arbEntriesPerBank, 32u);
-    EXPECT_EQ(points[0].ms.arbFullPolicy, ArbFullPolicy::kStall);
-    EXPECT_EQ(points[0].ms.predictor, "last");
-}
-
-TEST(Explore, ReportJsonCarriesTheFrontier)
-{
-    // A tiny real sweep end to end: declare, run, compute, serialize.
-    exp::ExploreAxes axes;
-    axes.units = {2, 4};
-    axes.ringHops = {1};
-    axes.arbEntries = {256};
-    axes.predictors = {"pas"};
-    const std::vector<std::string> workloads = {"example"};
-
-    exp::Experiment e("test-explore");
-    exp::declareExplore(e, axes, workloads);
-    EXPECT_EQ(e.size(), 1 + 2 * 1);
-    exp::SweepScheduler scheduler(2);
-    const exp::SweepResult sweep = scheduler.run(e);
-    ASSERT_EQ(sweep.failures(), 0u);
-
-    const exp::ExploreReport report =
-        exp::computeExplore(sweep, axes, workloads);
-    ASSERT_EQ(report.points.size(), 2u);
-    for (const exp::ExplorePointResult &p : report.points) {
-        EXPECT_GT(p.speedup, 0.0) << p.id;
-        EXPECT_GT(p.cost, 0.0) << p.id;
-    }
-    EXPECT_FALSE(report.frontier.empty());
-
-    std::ostringstream os;
-    exp::writeExploreJson(os, report);
-    const json::Value doc = json::Value::parse(os.str());
-    EXPECT_EQ(doc.find("schema")->asString(), "msim-explore-v1");
-    EXPECT_EQ(doc.find("points")->items().size(), 2u);
-    const json::Value *frontier = doc.find("frontier");
-    ASSERT_NE(frontier, nullptr);
-    EXPECT_EQ(frontier->items().size(), report.frontier.size());
 }
 
 } // namespace

@@ -304,7 +304,7 @@ MultiscalarProcessor::actualTargetIndex(const ActiveTask &task,
 
 void
 MultiscalarProcessor::squashFrom(TaskSeq from, const char *event,
-                                 std::uint64_t &counter)
+                                 std::uint64_t &counter, Cycle now)
 {
     while (numActive_ > 0) {
         const unsigned tail_unit = unitAt(numActive_ - 1);
@@ -312,11 +312,11 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *event,
             break;
         result_.squashedInstructions += pu(tail_unit).flush();
         result_.tasksSquashed += 1;
-        acct_.squashTask(tail_unit);
+        acct_.squashTask(tail_unit, now + 1);
         if (tracer_ && tracer_->wants(TraceCat::kTask)) {
-            tracer_->instant(TraceCat::kTask, event, tracer_->now(),
-                             tail_unit, "seq", taskInfo_[tail_unit].seq);
-            tracer_->end(TraceCat::kTask, tracer_->now(), tail_unit);
+            tracer_->instant(TraceCat::kTask, event, now, tail_unit,
+                             "seq", taskInfo_[tail_unit].seq);
+            tracer_->end(TraceCat::kTask, now, tail_unit);
         }
         arb_->squash(taskInfo_[tail_unit].seq);
         taskInfo_[tail_unit] = ActiveTask{};
@@ -353,7 +353,7 @@ MultiscalarProcessor::rebuildWalkRegs()
 }
 
 void
-MultiscalarProcessor::validateExit(const ExitEvent &event)
+MultiscalarProcessor::validateExit(const ExitEvent &event, Cycle now)
 {
     const unsigned unit = event.unit;
     // The task may have been squashed since the event fired.
@@ -376,7 +376,8 @@ MultiscalarProcessor::validateExit(const ExitEvent &event)
     // Control misprediction: squash every later task and restart the
     // walk from the actual successor.
     result_.controlSquashes += 1;
-    squashFrom(task.seq + 1, "squash_control", coreStats_.squashControl);
+    squashFrom(task.seq + 1, "squash_control", coreStats_.squashControl,
+               now);
     ras_->restore(task.rasCp);
     const TaskTarget &t = task.desc->targets[actual_idx];
     if (t.spec == TargetSpec::kCall)
@@ -387,7 +388,7 @@ MultiscalarProcessor::validateExit(const ExitEvent &event)
 }
 
 void
-MultiscalarProcessor::deferredPhase(Cycle)
+MultiscalarProcessor::deferredPhase(Cycle now)
 {
     // 1. Memory dependence violations (earliest wins).
     if (pendingViolation_) {
@@ -401,7 +402,7 @@ MultiscalarProcessor::deferredPhase(Cycle)
                 const auto ras_cp = taskInfo_[unit].rasCp;
                 result_.memorySquashes += 1;
                 squashFrom(taskInfo_[unit].seq, "squash_memory",
-                           coreStats_.squashMemory);
+                           coreStats_.squashMemory, now);
                 ras_->restore(ras_cp);
                 nextTaskAddr_ = restart;
                 break;
@@ -415,7 +416,7 @@ MultiscalarProcessor::deferredPhase(Cycle)
                   return a.seq < b.seq;
               });
     for (const ExitEvent &event : exitEvents_)
-        validateExit(event);
+        validateExit(event, now);
     exitEvents_.clear();
 
     // 3. ARB capacity policy.
@@ -428,7 +429,7 @@ MultiscalarProcessor::deferredPhase(Cycle)
             const auto ras_cp = taskInfo_[tail_unit].rasCp;
             result_.arbFullSquashes += 1;
             squashFrom(taskInfo_[tail_unit].seq, "squash_arbfull",
-                       coreStats_.squashArbFull);
+                       coreStats_.squashArbFull, now);
             ras_->restore(ras_cp);
             nextTaskAddr_ = restart;
         }
@@ -443,7 +444,7 @@ MultiscalarProcessor::retirePhase(Cycle now)
     const unsigned head_unit = unitAt(0);
     if (!pu(head_unit).isDone())
         return;
-    acct_.commitTask(head_unit);
+    acct_.commitTask(head_unit, now + 1);
     if (tracer_ && tracer_->wants(TraceCat::kTask)) {
         tracer_->instant(TraceCat::kTask, "retire", now, head_unit,
                          "seq", taskInfo_[head_unit].seq);
@@ -652,14 +653,7 @@ MultiscalarProcessor::nextEventCycle(Cycle now) const
 }
 
 void
-MultiscalarProcessor::accountSkip(std::uint64_t n)
-{
-    for (unsigned u = 0; u < config_.numUnits; ++u)
-        pu(u).accountSkippedCycles(n);
-}
-
-void
-MultiscalarProcessor::foldTasks()
+MultiscalarProcessor::foldTasks(Cycle end)
 {
     // The head is architecturally committed work; later tasks are
     // speculative and do not count.
@@ -669,11 +663,11 @@ MultiscalarProcessor::foldTasks()
         if (p == 0) {
             result_.instructions += executed;
             result_.tasksRetired += 1;
-            acct_.commitTask(unit);
+            acct_.commitTask(unit, end);
         } else {
             result_.squashedInstructions += executed;
             result_.tasksSquashed += 1;
-            acct_.squashTask(unit);
+            acct_.squashTask(unit, end);
         }
     }
 }

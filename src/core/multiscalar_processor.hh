@@ -144,9 +144,8 @@ class MultiscalarProcessor : public PuContext
      * active task — deadlock).
      */
     Cycle nextEventCycle(Cycle now) const;
-    void accountSkip(std::uint64_t n);
     /** The head still counts as retired; later tasks as squashed. */
-    void foldTasks();
+    void foldTasks(Cycle end);
     /** One dumpUnit line per active task, head first. */
     void dumpState(std::ostream &os) const;
 
@@ -167,10 +166,11 @@ class MultiscalarProcessor : public PuContext
 
     /**
      * Squash every active task with seq >= @p from, counting the
-     * squash in @p counter and naming it @p event in the trace.
+     * squash in @p counter and naming it @p event in the trace, in
+     * cycle @p now.
      */
     void squashFrom(TaskSeq from, const char *event,
-                    std::uint64_t &counter);
+                    std::uint64_t &counter, Cycle now);
 
     /** Resolve a predicted target to an address (RAS effects). */
     Addr resolveTarget(const TaskTarget &target);
@@ -178,7 +178,7 @@ class MultiscalarProcessor : public PuContext
     /** Find the target index a task actually exited through. */
     unsigned actualTargetIndex(const ActiveTask &task, Addr actual) const;
 
-    void validateExit(const ExitEvent &event);
+    void validateExit(const ExitEvent &event, Cycle now);
 
     // --- members ------------------------------------------------------
     const Program &program_;

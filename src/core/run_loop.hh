@@ -3,21 +3,26 @@
  * The run loop both machines share. The scalar baseline is "a single
  * processing unit identical to a multiscalar unit" (paper section
  * 5.1) and is clocked the same way: one skeleton owns the tracer
- * clock, the cycle-accounting brackets, the no-progress watchdog, the
- * quiescence fast-forward and the RunResult fill. It reaches the core
- * through members and hooks resolved at compile time (no per-cycle
- * virtual call). A Core befriends runLoop and provides tracer_,
- * acct_, result_, syscalls_, stats_, l2_ (may be null), fastForward_,
- * kName (the watchdog's name for it), and:
+ * clock, the no-progress watchdog, the quiescence fast-forward,
+ * closing the cycle accounting and the RunResult fill. It reaches the
+ * core through members and hooks resolved at compile time (no
+ * per-cycle virtual call). A Core befriends runLoop and provides
+ * tracer_, acct_, result_, syscalls_, stats_, l2_ (may be null),
+ * fastForward_, kName (the watchdog's name for it), and:
  *
  *   bool stepCycle(now)       tick one cycle; true = the program exited
  *   progressCount()           grows whenever any work gets done
  *   bool quiescent()          no unit changed state in its last tick
  *   Cycle nextEventCycle(now) next cycle the core can act (now + 1:
  *                             no skip; kCycleNever: nothing scheduled)
- *   accountSkip(n)            bulk-account n skipped quiescent cycles
- *   foldTasks()               settle the tasks in flight at the end
+ *   foldTasks(end)            settle the tasks in flight at cycle end
  *   dumpState(os)             the watchdog dump, one dumpUnit per task
+ *
+ * The units record their accounting runs from their full ticks, and
+ * the core commits or squashes each task's runs at now + 1 of the
+ * cycle that retires or squashes it. A fast-forwarded span needs no
+ * bookkeeping: every unit sleeps through it, so it only lengthens
+ * the units' open runs.
  */
 
 #ifndef MSIM_CORE_RUN_LOOP_HH
@@ -53,7 +58,6 @@ RunResult
 runLoop(Core &core, Cycle max_cycles)
 {
     Tracer *const tracer = core.tracer_.get();
-    CycleAccounting &acct = core.acct_;
     RunResult &result = core.result_;
     StatGroup &core_stats = core.stats_.group("core");
     std::uint64_t &ff_jumps = core_stats.counter("ffJumps");
@@ -66,9 +70,7 @@ runLoop(Core &core, Cycle max_cycles)
     for (; now < max_cycles; ++now) {
         if (tracer)
             tracer->setNow(now);
-        acct.beginCycle();
         const bool exited = core.stepCycle(now);
-        acct.endCycle();
         ++cycles_done;
         if (exited)
             break;
@@ -79,18 +81,21 @@ runLoop(Core &core, Cycle max_cycles)
             last_progress_cycle = now;
         }
         if (now - last_progress_cycle > kWatchdogCycles) {
+            std::ostringstream dump;
+            core.dumpState(dump);
             std::ostringstream os;
-            os << Core::kName << " made no progress for "
-               << kWatchdogCycles << " cycles (deadlock?). State:";
-            core.dumpState(os);
-            panic(os.str());
+            os << "fatal: " << Core::kName << " made no progress for "
+               << kWatchdogCycles << " cycles (deadlock?). State:"
+               << dump.str();
+            throw DeadlockError(os.str(), now, dump.str());
         }
 
         // Cycle-exact fast-forward: when every component is
         // quiescent until some future cycle, the skipped cycles are
-        // provably pure stalls — bulk-account them and jump. A
-        // kCycleNever result (nothing scheduled at all) falls back
-        // to stepping so the watchdog above still fires.
+        // provably pure stalls that only lengthen the units' open
+        // accounting runs — just jump. A kCycleNever result (nothing
+        // scheduled at all) falls back to stepping so the watchdog
+        // above still fires.
         if (core.fastForward_ && core.quiescent()) {
             Cycle next = core.nextEventCycle(now);
             // An in-flight L2 MSHR fill bounds the jump (the L2 is a
@@ -103,7 +108,6 @@ runLoop(Core &core, Cycle max_cycles)
             const Cycle target = next < max_cycles ? next : max_cycles;
             if (next != kCycleNever && target > now + 1) {
                 const std::uint64_t n = target - now - 1;
-                core.accountSkip(n);
                 result.fastForwardedCycles += n;
                 ++ff_jumps;
                 ff_skipped += n;
@@ -113,13 +117,13 @@ runLoop(Core &core, Cycle max_cycles)
         }
     }
 
-    core.foldTasks();
+    core.foldTasks(cycles_done);
     result.cycles = cycles_done;
     result.exited = core.syscalls_->exited();
     result.hitMaxCycles = !result.exited;
     result.output = core.syscalls_->output();
-    result.accounting = acct.finish(cycles_done);
-    acct.exportStats(core.stats_.group("cycles"));
+    result.accounting = core.acct_.finish(cycles_done);
+    exportStats(result.accounting, core.stats_.group("cycles"));
     if (tracer) {
         tracer->flush();
         core_stats.counter("traceEvents") += tracer->recorded();

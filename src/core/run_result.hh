@@ -12,11 +12,36 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "trace/cycle_accounting.hh"
 
 namespace msim {
+
+/**
+ * Thrown by the no-progress watchdog of core/run_loop.hh: the run did
+ * no work for kWatchdogCycles cycles. Input can cause it (a program
+ * that jumps off its text segment stalls every unit), so it is a
+ * FatalError subclass. It carries the cycle the watchdog fired at
+ * and the state dump, one dumpUnit line per task, that ends the
+ * message.
+ */
+class DeadlockError : public FatalError
+{
+  public:
+    DeadlockError(const std::string &msg, Cycle fired_at,
+                  std::string dump)
+        : FatalError(msg), cycle(fired_at), state(std::move(dump))
+    {
+    }
+
+    /** The cycle at which the watchdog fired. */
+    Cycle cycle = 0;
+    /** The unit-state dump (one line per stuck task). */
+    std::string state;
+};
 
 /** Aggregate results of a simulation run. */
 struct RunResult

@@ -117,11 +117,10 @@ class ScalarProcessor : public PuContext
     {
         return unit_->nextEventCycle(now);
     }
-    void accountSkip(std::uint64_t n) { unit_->accountSkippedCycles(n); }
     void
-    foldTasks()
+    foldTasks(Cycle end)
     {
-        acct_.commitTask(0);
+        acct_.commitTask(0, end);
         result_.instructions = unit_->taskInstructions();
         result_.tasksRetired = 1;
     }

@@ -709,33 +709,6 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
     return CycleCat::kIntraWait;
 }
 
-void
-ProcessingUnit::accountCycle(unsigned issued_count)
-{
-    if (acct_ && status_ != Status::kFree) {
-        sleepCat_ = classifyCycle(issued_count);
-        acct_->recordPending(id_, sleepCat_);
-    }
-}
-
-void
-ProcessingUnit::accountSkippedCycles(std::uint64_t n)
-{
-    if (!acct_)
-        return;
-    if (status_ == Status::kFree) {
-        // Idle cycles belong to no task; they go straight to the
-        // accounting's final counts (the endCycle default).
-        acct_->recordSkippedIdle(id_, n);
-        return;
-    }
-    // During a skipped span the unit sleeps (the run loop proved no
-    // completion, fetch, dispatch, issue or delivery can happen
-    // before the next event), so every skipped cycle records what its
-    // last, inert tick did.
-    acct_->recordSkipped(id_, sleepCat_, n);
-}
-
 bool
 ProcessingUnit::syscallFlipped() const
 {
@@ -803,9 +776,8 @@ ProcessingUnit::tick(Cycle now)
     }
     if (!activity_ && now < wakeAt_ && !syscallFlipped()) {
         // Asleep: nothing changed since the last, inert tick and no
-        // event is due, so a full tick would record the same stall.
-        if (acct_)
-            acct_->recordPending(id_, sleepCat_);
+        // event is due, so a full tick would classify the cycle as
+        // the same stall: the accounting run it opened stays open.
         traceOccupancy(now, 0);
         return;
     }
@@ -827,7 +799,8 @@ ProcessingUnit::tick(Cycle now)
     }
     autoReleasePhase();
     maybeFinish();
-    accountCycle(issued);
+    if (acct_)
+        acct_->record(id_, classifyCycle(issued), now);
     scheduleWake(now, saw_ready);
     traceOccupancy(now, issued);
 }

@@ -63,9 +63,8 @@ class ProcessingUnit
     };
 
     /**
-     * @param acct Optional cycle-accounting sink; every tick of an
-     *        assigned task records one pending category for this
-     *        unit's id.
+     * @param acct Optional cycle-accounting sink; every full tick of
+     *        an assigned task records its category for this unit's id.
      * @param tracer Optional event tracer (occupancy counters).
      */
     ProcessingUnit(unsigned id, const PuConfig &config, PuContext &ctx,
@@ -95,28 +94,30 @@ class ProcessingUnit
                     const TaskSeq *expected_producers = nullptr);
 
     /**
-     * Advance one cycle. A tick that changes nothing puts the unit to
-     * sleep until its next event: later ticks only re-record the same
-     * stall category (and trace sample) until that cycle comes or an
-     * external input arrives. The inputs that end a sleep are a ring
-     * delivery, assignTask(), flush(), retire() and a change in the
-     * permission of an un-issued syscall at the window head, which a
-     * sleeping unit re-polls. See DESIGN.md "Quiescence &
+     * Advance one cycle. A full tick records the cycle's category in
+     * the accounting, which keeps it until a tick records another. A
+     * tick that changes nothing puts the unit to sleep until its next
+     * event: later ticks only emit the same trace sample, and their
+     * cycles extend the open accounting run, until that cycle comes
+     * or an external input arrives. The inputs that end a sleep are a
+     * ring delivery, assignTask(), flush(), retire() and a change in
+     * the permission of an un-issued syscall at the window head, which
+     * a sleeping unit re-polls. See DESIGN.md "Quiescence &
      * fast-forward".
      */
     void tick(Cycle now);
 
     /**
      * The earliest cycle after @p now at which this unit's tick
-     * could do anything beyond re-recording the same stall category
-     * — i.e. the cycle its sleep ends, assuming no external input
-     * arrives in between. O(1) and side-effect free; call it after
-     * tick(now). Returns kCycleNever when only external input can
-     * wake the unit (or it is free).
+     * could do anything beyond sleeping in the same stall — i.e. the
+     * cycle its sleep ends, assuming no external input arrives in
+     * between. O(1) and side-effect free; call it after tick(now).
+     * Returns kCycleNever when only external input can wake the unit
+     * (or it is free).
      *
      * The run loop may skip straight to the minimum next event over
-     * all components; accountSkippedCycles() settles the books for
-     * the skipped span.
+     * all components; the skipped cycles extend the unit's open
+     * accounting run, so they need no bookkeeping.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -126,14 +127,6 @@ class ProcessingUnit
      * the unit is asleep until nextEventCycle().
      */
     bool quiescentLastTick() const { return !activity_; }
-
-    /**
-     * Account @p n fast-forwarded cycles: the run loop proved that
-     * the unit sleeps through each of them, so each records the stall
-     * category of its last tick, or idle when the unit is free.
-     * Updates the CycleAccounting identically to @p n ticks.
-     */
-    void accountSkippedCycles(std::uint64_t n);
 
     /**
      * Squash: discard all task state.
@@ -265,7 +258,6 @@ class ProcessingUnit
     void dispatchPhase(Cycle now);
     void fetchPhase(Cycle now);
     void autoReleasePhase();
-    void accountCycle(unsigned issued_count);
     void scheduleWake(Cycle now, bool saw_ready);
     void traceOccupancy(Cycle now, unsigned issued);
 
@@ -359,8 +351,6 @@ class ProcessingUnit
     bool activity_ = true;
     /** The cycle the unit can next act; set at the end of every tick. */
     Cycle wakeAt_ = 0;
-    /** The stall category of the last tick, recorded while asleep. */
-    CycleCat sleepCat_ = CycleCat::kIdle;
     /** The head is an un-issued syscall: re-poll its permission. */
     bool pollSyscall_ = false;
     /** That permission when the unit went to sleep. */

@@ -1,7 +1,5 @@
 #include "trace/cycle_accounting.hh"
 
-#include "common/logging.hh"
-
 namespace msim {
 
 const char *
@@ -31,64 +29,28 @@ cycleCatName(CycleCat cat)
 
 CycleAccounting::CycleAccounting(unsigned num_units)
     : numUnits_(num_units), final_(num_units), pending_(num_units),
-      accountedGen_(num_units, 0)
+      open_(num_units)
 {
     fatalIf(num_units == 0, "cycle accounting needs at least one unit");
 }
 
 void
-CycleAccounting::beginCycle()
+CycleAccounting::startRun(unsigned unit, CycleCat cat, Cycle at)
 {
-    panicIf(inCycle_, "beginCycle without endCycle");
-    inCycle_ = true;
-    ++gen_;
+    Run &run = open_[unit];
+    panicIf(at < run.start, "cycle accounting: unit ", unit,
+            " closed at cycle ", at, " a run from cycle ", run.start);
+    Counts &into = run.cat == CycleCat::kIdle ? final_[unit]
+                                              : pending_[unit];
+    into[size_t(run.cat)] += at - run.start;
+    run = {cat, at};
 }
 
 void
-CycleAccounting::recordPending(unsigned unit, CycleCat cat)
+CycleAccounting::commitTask(unsigned unit, Cycle end)
 {
     panicIf(unit >= numUnits_, "cycle accounting: bad unit");
-    panicIf(!inCycle_, "recordPending outside a cycle");
-    panicIf(accountedGen_[unit] == gen_,
-            "unit ", unit, " accounted twice in one cycle");
-    accountedGen_[unit] = gen_;
-    pending_[unit][size_t(cat)] += 1;
-}
-
-void
-CycleAccounting::recordSkipped(unsigned unit, CycleCat cat,
-                               std::uint64_t n)
-{
-    panicIf(unit >= numUnits_, "cycle accounting: bad unit");
-    panicIf(inCycle_, "recordSkipped inside an open cycle");
-    panicIf(cat == CycleCat::kIdle,
-            "skipped idle cycles go through recordSkippedIdle");
-    pending_[unit][size_t(cat)] += n;
-}
-
-void
-CycleAccounting::recordSkippedIdle(unsigned unit, std::uint64_t n)
-{
-    panicIf(unit >= numUnits_, "cycle accounting: bad unit");
-    panicIf(inCycle_, "recordSkippedIdle inside an open cycle");
-    final_[unit][size_t(CycleCat::kIdle)] += n;
-}
-
-void
-CycleAccounting::endCycle()
-{
-    panicIf(!inCycle_, "endCycle without beginCycle");
-    inCycle_ = false;
-    for (unsigned u = 0; u < numUnits_; ++u) {
-        if (accountedGen_[u] != gen_)
-            final_[u][size_t(CycleCat::kIdle)] += 1;
-    }
-}
-
-void
-CycleAccounting::commitTask(unsigned unit)
-{
-    panicIf(unit >= numUnits_, "cycle accounting: bad unit");
+    startRun(unit, CycleCat::kIdle, end);
     Counts &p = pending_[unit];
     Counts &f = final_[unit];
     for (size_t c = 0; c < kNumCycleCats; ++c) {
@@ -98,9 +60,10 @@ CycleAccounting::commitTask(unsigned unit)
 }
 
 void
-CycleAccounting::squashTask(unsigned unit)
+CycleAccounting::squashTask(unsigned unit, Cycle end)
 {
     panicIf(unit >= numUnits_, "cycle accounting: bad unit");
+    startRun(unit, CycleCat::kIdle, end);
     Counts &p = pending_[unit];
     std::uint64_t wasted = 0;
     for (size_t c = 0; c < kNumCycleCats; ++c) {
@@ -113,18 +76,27 @@ CycleAccounting::squashTask(unsigned unit)
 CycleAccountingResult
 CycleAccounting::finish(Cycle cycles_simulated) const
 {
-    panicIf(inCycle_, "finish inside an open cycle");
     CycleAccountingResult out;
     out.numUnits = numUnits_;
     out.perUnit.resize(numUnits_);
     for (unsigned u = 0; u < numUnits_; ++u) {
+        const Run &run = open_[u];
+        panicIf(run.cat != CycleCat::kIdle,
+                "cycle accounting finished with an open task run on "
+                "unit ", u, " (unresolved task fate)");
         for (size_t c = 0; c < kNumCycleCats; ++c) {
             panicIf(pending_[u][c] != 0,
                     "cycle accounting finished with pending counts on "
                     "unit ", u, " (unresolved task fate)");
             out.perUnit[u][c] = final_[u][c];
-            out.total[c] += final_[u][c];
         }
+        // The idle run in progress; books closed past the end break
+        // the invariant below.
+        if (cycles_simulated > run.start)
+            out.perUnit[u][size_t(CycleCat::kIdle)] +=
+                cycles_simulated - run.start;
+        for (size_t c = 0; c < kNumCycleCats; ++c)
+            out.total[c] += out.perUnit[u][c];
     }
     panicIf(out.sum() != std::uint64_t(cycles_simulated) * numUnits_,
             "cycle accounting invariant broken: categories sum to ",
@@ -135,14 +107,13 @@ CycleAccounting::finish(Cycle cycles_simulated) const
 }
 
 void
-CycleAccounting::exportStats(StatGroup &group) const
+exportStats(const CycleAccountingResult &res, StatGroup &group)
 {
-    for (unsigned u = 0; u < numUnits_; ++u) {
+    for (unsigned u = 0; u < res.numUnits; ++u) {
         const std::string dist = "pu" + std::to_string(u);
-        for (size_t c = 0; c < kNumCycleCats; ++c) {
+        for (size_t c = 0; c < kNumCycleCats; ++c)
             group.addToDist(dist, cycleCatName(CycleCat(c)),
-                            final_[u][c] + pending_[u][c]);
-        }
+                            res.perUnit[u][c]);
     }
 }
 

@@ -9,20 +9,24 @@
  * stalls, waiting for retirement), and idle cycles with no assigned
  * task.
  *
- * Protocol (driven by the owning processor's run loop):
+ * The books are kept in runs: each unit holds one open run, a
+ * category and the cycle it started, so a unit costs nothing while
+ * its category stays the same (asleep, or inside a fast-forwarded
+ * span). Protocol (driven by the owning processor):
  *
- *   beginCycle();                 // once per simulated cycle
- *   ... recordPending(unit, cat)  // from each unit's tick
- *   ... squashTask(unit)          // when a unit's task is squashed
- *   ... commitTask(unit)          // when a unit's task retires
- *   endCycle();                   // unaccounted units become idle
+ *   record(unit, cat, now)       // from each full (awake) tick
+ *   squashTask(unit, end)        // the unit's task was squashed
+ *   commitTask(unit, end)        // the unit's task retired
+ *   finish(cycles)               // close the books
  *
- * Cycles recorded for an in-flight task stay *pending* until the
- * task's fate is known: commitTask folds them into the final counts
- * under their recorded categories (useful work), squashTask folds
- * their sum into kSquashed (the work was thrown away). Because each
- * cycle contributes exactly one classification per unit — either a
- * recordPending or the endCycle idle default — the grand total obeys
+ * record() closes the open run only when the category changes. A
+ * task's closed runs stay *pending* until its fate is known: at the
+ * task's end cycle, commitTask folds them into the final counts under
+ * their categories (useful work) and squashTask folds their sum into
+ * kSquashed (the work was thrown away). The unit then holds an idle
+ * run — idle is the gap between tasks — which goes straight to the
+ * final counts when it closes. Because the runs of a unit tile the
+ * cycles from 0 to the end without overlap, the grand total obeys
  * the hard invariant
  *
  *   sum over categories == cycles simulated × number of units
@@ -37,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -93,62 +98,64 @@ class CycleAccounting
   public:
     explicit CycleAccounting(unsigned num_units);
 
-    /** Start a simulated cycle. */
-    void beginCycle();
-
-    /** Unit @p unit spent the current cycle doing @p cat. */
-    void recordPending(unsigned unit, CycleCat cat);
-
-    /** End the cycle: units that recorded nothing were idle. */
-    void endCycle();
-
     /**
-     * Bulk accounting for fast-forwarded (quiescent) cycles. The
-     * run loop proved that unit @p unit would have recorded @p cat
-     * on each of @p n consecutive cycles; record them all at once.
-     * Must be called between cycles (outside begin/endCycle). The
-     * cycles stay pending until the unit's task is resolved, exactly
-     * as if recordPending had run @p n times.
+     * Unit @p unit spends cycle @p now, and every later cycle until
+     * its next record or task end, doing @p cat. Panics if @p now is
+     * before the start of the unit's open run.
      */
-    void recordSkipped(unsigned unit, CycleCat cat, std::uint64_t n);
+    void
+    record(unsigned unit, CycleCat cat, Cycle now)
+    {
+        panicIf(unit >= numUnits_, "cycle accounting: bad unit");
+        Run &run = open_[unit];
+        panicIf(now < run.start, "cycle accounting: unit ", unit,
+                " recorded cycle ", now, " inside a run from cycle ",
+                run.start);
+        if (cat != run.cat)
+            startRun(unit, cat, now);
+    }
+
+    /** Unit @p unit's task retired at @p end: its runs were useful. */
+    void commitTask(unsigned unit, Cycle end);
+
+    /** Unit @p unit's task was squashed at @p end: its runs were waste. */
+    void squashTask(unsigned unit, Cycle end);
 
     /**
-     * Bulk idle accounting for fast-forwarded cycles: unit @p unit
-     * had no task for @p n consecutive skipped cycles. Idle cycles
-     * belong to no task, so they go straight to the final counts
-     * (the endCycle default path does the same one cycle at a time).
-     */
-    void recordSkippedIdle(unsigned unit, std::uint64_t n);
-
-    /** Unit @p unit's task retired: pending counts were useful. */
-    void commitTask(unsigned unit);
-
-    /** Unit @p unit's task was squashed: pending counts were waste. */
-    void squashTask(unsigned unit);
-
-    /**
-     * Close the books: @return the final result. Panics if any
-     * pending counts remain (every task's fate must be resolved) or
-     * if the invariant sum == cycles × units is broken.
+     * Close the books at @p cycles_simulated: @return the final
+     * result. Panics if a task run is still open or pending (every
+     * task's fate must be resolved) or if the invariant sum == cycles
+     * × units is broken.
      */
     CycleAccountingResult finish(Cycle cycles_simulated) const;
-
-    /** Export the per-unit breakdown as StatGroup distributions. */
-    void exportStats(StatGroup &group) const;
 
     unsigned numUnits() const { return numUnits_; }
 
   private:
     using Counts = std::array<std::uint64_t, kNumCycleCats>;
 
+    /** A unit's open run; kIdle when it holds no task's cycles. */
+    struct Run
+    {
+        CycleCat cat = CycleCat::kIdle;
+        Cycle start = 0;
+    };
+
+    /**
+     * Close unit @p unit's open run at cycle @p at (exclusive) and
+     * open a @p cat run there.
+     */
+    void startRun(unsigned unit, CycleCat cat, Cycle at);
+
     unsigned numUnits_;
     std::vector<Counts> final_;
+    /** Closed runs of each unit's task in flight. */
     std::vector<Counts> pending_;
-    /** Which generation (cycle) each unit last recorded in. */
-    std::vector<std::uint64_t> accountedGen_;
-    std::uint64_t gen_ = 0;
-    bool inCycle_ = false;
+    std::vector<Run> open_;
 };
+
+/** Export @p res per unit as StatGroup distributions in @p group. */
+void exportStats(const CycleAccountingResult &res, StatGroup &group);
 
 } // namespace msim
 

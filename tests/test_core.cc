@@ -16,6 +16,7 @@
 #include "asm/assembler.hh"
 #include "config/machine_shape.hh"
 #include "core/multiscalar_processor.hh"
+#include "core/run_loop.hh"
 #include "core/scalar_processor.hh"
 #include "sim/compiled_workload.hh"
 #include "sim/reference.hh"
@@ -405,17 +406,18 @@ ELSEWHERE:
     EXPECT_THROW(proc.run(10000), PanicError);
 }
 
-/** @return the PanicError message @p body throws ("" if none). */
+/** @return the DeadlockError @p body throws (fails the test if none). */
 template <class F>
-std::string
-panicMessage(F &&body)
+DeadlockError
+deadlockOf(F &&body)
 {
     try {
         body();
-    } catch (const PanicError &e) {
-        return e.what();
+    } catch (const DeadlockError &e) {
+        return e;
     }
-    return "";
+    ADD_FAILURE() << "expected a DeadlockError";
+    return DeadlockError("", 0, "");
 }
 
 /** @return the watchdog's dump line for a task starting at @p start. */
@@ -445,15 +447,14 @@ main:   lui  $8, 0x7000
         jr   $8
     )", opts);
     ScalarProcessor proc(prog, ScalarConfig{});
-    const std::string msg =
-        panicMessage([&] { proc.run(1'000'000); });
-    EXPECT_NE(msg.find("scalar processor made no progress for 100000 "
-                       "cycles (deadlock?). State:"),
-              std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find(stuckUnitLine(0, 0, prog.entry, "")),
-              std::string::npos)
-        << msg;
+    const DeadlockError e = deadlockOf([&] { proc.run(1'000'000); });
+    EXPECT_EQ(e.state, stuckUnitLine(0, 0, prog.entry, ""));
+    EXPECT_EQ(std::string(e.what()),
+              "fatal: scalar processor made no progress for 100000 "
+              "cycles (deadlock?). State:" + e.state);
+    // Progress stops within the first few cycles.
+    EXPECT_GT(e.cycle, kWatchdogCycles);
+    EXPECT_LT(e.cycle, kWatchdogCycles + 100);
 }
 
 TEST(Core, MultiscalarWatchdogDumpsTheStalledUnit)
@@ -469,15 +470,13 @@ main:   lui  $8, 0x7000
 .endtask
     )");
     MultiscalarProcessor proc(prog, MsConfig{});
-    const std::string msg =
-        panicMessage([&] { proc.run(1'000'000); });
-    EXPECT_NE(msg.find("multiscalar processor made no progress for "
-                       "100000 cycles (deadlock?). State:"),
-              std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find(stuckUnitLine(0, 1, prog.entry, "$9")),
-              std::string::npos)
-        << msg;
+    const DeadlockError e = deadlockOf([&] { proc.run(1'000'000); });
+    EXPECT_EQ(e.state, stuckUnitLine(0, 1, prog.entry, "$9"));
+    EXPECT_EQ(std::string(e.what()),
+              "fatal: multiscalar processor made no progress for "
+              "100000 cycles (deadlock?). State:" + e.state);
+    EXPECT_GT(e.cycle, kWatchdogCycles);
+    EXPECT_LT(e.cycle, kWatchdogCycles + 100);
 }
 
 TEST(Core, InvalidConfigFailsAtConstruction)

@@ -129,23 +129,17 @@ struct Rig
     {
     }
 
-    /** Advance one cycle, bracketed like a processor's run loop. */
-    void
-    tick(Cycle now)
-    {
-        acct.beginCycle();
-        pu.tick(now);
-        acct.endCycle();
-    }
+    /** Advance one cycle. */
+    void tick(Cycle now) { pu.tick(now); }
 
     /**
-     * Commit the task's pending cycles and close the books after
-     * @p cycles ticks. @return the accounting of those cycles.
+     * Commit the task's runs and close the books after @p cycles
+     * ticks. @return the accounting of those cycles.
      */
     CycleAccountingResult
     closeBooks(Cycle cycles)
     {
-        acct.commitTask(0);
+        acct.commitTask(0, cycles);
         return acct.finish(cycles);
     }
 
@@ -200,7 +194,7 @@ struct Rig
     CycleAccountingResult
     booksSoFar(Cycle cycles)
     {
-        acct.commitTask(0);
+        acct.commitTask(0, cycles);
         return acct.finish(cycles);
     }
 
@@ -575,7 +569,7 @@ main:   li   $2, 1
         rig.tick(now);
     EXPECT_EQ(rig.ctx.syscallCount, 0u);
     rig.ctx.allowSyscall = true;
-    EXPECT_LT(rig.runUntilDone(), 2000u);
+    EXPECT_LT(rig.tickUntilDone(50), 2000u);
     EXPECT_EQ(rig.ctx.syscallCount, 1u);
 }
 

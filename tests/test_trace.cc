@@ -454,15 +454,11 @@ TEST(TraceEndToEnd, MultiscalarRunWritesValidChromeTrace)
 TEST(CycleAccounting, ManualProtocolAndInvariant)
 {
     CycleAccounting acct(2);
-    acct.beginCycle();
-    acct.recordPending(0, CycleCat::kBusy);
-    acct.endCycle();  // unit 1 becomes idle
-    acct.beginCycle();
-    acct.recordPending(0, CycleCat::kRingWait);
-    acct.recordPending(1, CycleCat::kBusy);
-    acct.endCycle();
-    acct.commitTask(0);
-    acct.squashTask(1);
+    acct.record(0, CycleCat::kBusy, 0);
+    acct.record(0, CycleCat::kRingWait, 1);
+    acct.record(1, CycleCat::kBusy, 1);  // unit 1 was idle in cycle 0
+    acct.commitTask(0, 2);
+    acct.squashTask(1, 2);
 
     CycleAccountingResult res = acct.finish(2);
     EXPECT_EQ(res.numUnits, 2u);
@@ -473,21 +469,58 @@ TEST(CycleAccounting, ManualProtocolAndInvariant)
     EXPECT_EQ(res[CycleCat::kIdle], 1u);      // unit 1, first cycle
 }
 
-TEST(CycleAccounting, DoubleRecordInOneCyclePanics)
+TEST(CycleAccounting, RecordBeforeTheOpenRunPanics)
 {
     CycleAccounting acct(1);
-    acct.beginCycle();
-    acct.recordPending(0, CycleCat::kBusy);
-    EXPECT_THROW(acct.recordPending(0, CycleCat::kIdle), PanicError);
+    acct.record(0, CycleCat::kBusy, 5);
+    EXPECT_THROW(acct.record(0, CycleCat::kRingWait, 3), PanicError);
+    EXPECT_THROW(acct.record(0, CycleCat::kBusy, 4), PanicError);
+}
+
+TEST(CycleAccounting, UntickedTaskSquashedChargesSquashed)
+{
+    // The task's first tick opens a run at cycle 2; its unit then
+    // sleeps (or is fast-forwarded) without another record until the
+    // task is squashed at the end of cycle 101.
+    CycleAccounting acct(1);
+    acct.record(0, CycleCat::kMemWait, 2);
+    acct.squashTask(0, 102);
+    const CycleAccountingResult res = acct.finish(110);
+    EXPECT_EQ(res[CycleCat::kSquashed], 100u);
+    EXPECT_EQ(res[CycleCat::kMemWait], 0u);
+    EXPECT_EQ(res[CycleCat::kIdle], 10u);  // cycles 0-1 and 102-109
+    EXPECT_EQ(res.sum(), 110u);
+}
+
+TEST(CycleAccounting, NeverAssignedUnitIsAllIdle)
+{
+    CycleAccounting acct(3);
+    acct.record(0, CycleCat::kBusy, 0);
+    acct.commitTask(0, 50);
+    const CycleAccountingResult res = acct.finish(50);
+    EXPECT_EQ(res[CycleCat::kBusy], 50u);
+    for (unsigned u : {1u, 2u}) {
+        for (size_t c = 0; c < kNumCycleCats; ++c) {
+            EXPECT_EQ(res.perUnit[u][c],
+                      CycleCat(c) == CycleCat::kIdle ? 50u : 0u)
+                << u << " " << cycleCatName(CycleCat(c));
+        }
+    }
 }
 
 TEST(CycleAccounting, UnresolvedPendingPanicsAtFinish)
 {
     CycleAccounting acct(1);
-    acct.beginCycle();
-    acct.recordPending(0, CycleCat::kBusy);
-    acct.endCycle();
+    acct.record(0, CycleCat::kBusy, 0);
     EXPECT_THROW(acct.finish(1), PanicError);  // task fate unresolved
+}
+
+TEST(CycleAccounting, BooksClosedPastTheEndBreakTheInvariant)
+{
+    CycleAccounting acct(1);
+    acct.record(0, CycleCat::kBusy, 0);
+    acct.commitTask(0, 10);
+    EXPECT_THROW(acct.finish(5), PanicError);  // 10 cycles != 5 x 1
 }
 
 TEST(CycleAccounting, MultiscalarRunSumsToCyclesTimesUnits)

@@ -1,7 +1,6 @@
 #include "common/json.hh"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -28,7 +27,12 @@ Value::asInt() const
 {
     if (kind_ != Kind::Number)
         throw std::runtime_error("json: not a number");
-    return isInt_ ? int_ : std::int64_t(num_);
+    if (isInt_)
+        return int_;
+    // Casting a double outside the int64 range is undefined.
+    if (!(num_ >= -0x1p63 && num_ < 0x1p63))
+        throw std::runtime_error("json: number out of int64 range");
+    return std::int64_t(num_);
 }
 
 const std::string &
@@ -124,70 +128,6 @@ escape(std::string_view s)
             }
         }
     }
-    return out;
-}
-
-void
-Value::dumpTo(std::string &out) const
-{
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Number:
-        if (isInt_) {
-            out += std::to_string(int_);
-        } else if (std::isfinite(num_)) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%.17g", num_);
-            out += buf;
-        } else {
-            out += "null"; // JSON has no inf/nan
-        }
-        break;
-      case Kind::String:
-        out += '"';
-        out += escape(str_);
-        out += '"';
-        break;
-      case Kind::Array: {
-        out += '[';
-        bool first = true;
-        for (const Value &v : arr_) {
-            if (!first)
-                out += ',';
-            first = false;
-            v.dumpTo(out);
-        }
-        out += ']';
-        break;
-      }
-      case Kind::Object: {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, v] : obj_) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            out += escape(k);
-            out += "\":";
-            v.dumpTo(out);
-        }
-        out += '}';
-        break;
-      }
-    }
-}
-
-std::string
-Value::dump() const
-{
-    std::string out;
-    dumpTo(out);
     return out;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * A small JSON value type, parser and writer for the machine shape
+ * A small JSON value type and parser for the machine shape
  * configuration layer (src/config), plus the string escaper every
  * hand-rolled JSON emitter shares. Self-contained on purpose: inputs
  * arrive from user-edited shape files, so the parser is strict (full
@@ -9,10 +9,9 @@
  * offset; callers map those to structured shape diagnostics instead
  * of crashing.
  *
- * Objects preserve insertion order (deterministic output) and
- * lookups return the first entry with the key. Numbers remember
- * whether they were written as integers so counters round-trip
- * without a decimal point.
+ * Objects preserve document order and lookups return the first
+ * entry with the key. Numbers written as integers keep their exact
+ * int64 value.
  */
 
 #ifndef MSIM_COMMON_JSON_HH
@@ -55,13 +54,7 @@ class Value
         : kind_(Kind::Number), num_(double(i)), int_(i), isInt_(true)
     {
     }
-    Value(std::uint64_t u)
-        : kind_(Kind::Number), num_(double(u)),
-          int_(std::int64_t(u)), isInt_(true)
-    {
-    }
     Value(int i) : Value(std::int64_t(i)) {}
-    Value(unsigned u) : Value(std::uint64_t(u)) {}
     Value(const char *s) : kind_(Kind::String), str_(s) {}
     Value(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
 
@@ -83,7 +76,8 @@ class Value
     bool isObject() const { return kind_ == Kind::Object; }
 
     /** Typed accessors; throw ParseError-free std::runtime_error on
-     *  kind mismatch (callers validate kinds first). */
+     *  kind mismatch (callers validate kinds first), and asInt() on a
+     *  number outside the int64 range. */
     bool asBool() const;
     double asDouble() const;
     std::int64_t asInt() const;
@@ -101,12 +95,7 @@ class Value
     /** Set (append) an object entry. */
     Value &set(const std::string &key, Value v);
 
-    /** Serialize compactly (no whitespace). */
-    std::string dump() const;
-
   private:
-    void dumpTo(std::string &out) const;
-
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
@@ -118,8 +107,8 @@ class Value
 };
 
 /**
- * JSON string escaping, shared by the writer and every hand-rolled
- * emitter: the body of a string literal, without the quotes.
+ * JSON string escaping, shared by every hand-rolled emitter: the
+ * body of a string literal, without the quotes.
  */
 std::string escape(std::string_view s);
 

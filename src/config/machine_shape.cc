@@ -1,6 +1,7 @@
 #include "config/machine_shape.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -8,6 +9,11 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/json.hh"
 
 namespace msim::config {
 
@@ -29,15 +35,21 @@ std::uint64_t
 requireUint(const json::Value &v, const std::string &path,
             std::uint64_t min, std::uint64_t max)
 {
-    if (!v.isNumber() || v.asDouble() < 0 ||
-        double(v.asInt()) != v.asDouble())
+    // Range-check the double before any integer conversion: casting
+    // a number such as 1e30 to an integer type is undefined.
+    const double d = v.isNumber() ? v.asDouble() : -1;
+    if (d < 0 || d != std::floor(d))
         fail(path, "must be a non-negative integer");
-    const std::uint64_t u = std::uint64_t(v.asInt());
-    if (u < min || u > max)
+    if (d < double(min) || d > double(max)) {
+        std::ostringstream got;
+        if (d < 0x1p63)
+            got << v.asInt();
+        else
+            got << d;
         fail(path, "must be in [" + std::to_string(min) + ", " +
-                       std::to_string(max) + "], got " +
-                       std::to_string(u));
-    return u;
+                       std::to_string(max) + "], got " + got.str());
+    }
+    return std::uint64_t(v.asInt());
 }
 
 bool
@@ -56,18 +68,24 @@ requireString(const json::Value &v, const std::string &path)
     return v.asString();
 }
 
-using FieldHandler =
-    std::function<void(const json::Value &, const std::string &)>;
+/** One table row: a key and how its value reaches the config. */
+struct Field
+{
+    std::string_view key;
+    std::function<void(const json::Value &, const std::string &)> set;
+};
+
+/** Keys that belong elsewhere, each with where (or why not). */
+using Hints = std::vector<std::pair<std::string_view, std::string_view>>;
 
 /**
- * Walk one JSON object, dispatching each entry to its handler.
- * Unknown keys fail with their dotted path (plus a hint when the key
- * belongs to the other machine kind), duplicates always fail.
+ * Walk one JSON object in document order, dispatching each entry to
+ * its row. Unknown keys fail with their dotted path (plus the hint
+ * when the key has one), duplicates always fail.
  */
 void
 walkObject(const json::Value &v, const std::string &prefix,
-           const std::map<std::string, FieldHandler> &fields,
-           const std::map<std::string, std::string> &hints = {})
+           const std::vector<Field> &fields, const Hints &hints)
 {
     if (!v.isObject())
         fail(prefix.empty() ? "(document)" : prefix,
@@ -77,374 +95,234 @@ walkObject(const json::Value &v, const std::string &prefix,
         const std::string path = joinPath(prefix, key);
         if (!seen.insert(key).second)
             fail(path, "duplicate key");
-        const auto it = fields.find(key);
-        if (it == fields.end()) {
-            const auto hint = hints.find(key);
+        const auto field =
+            std::find_if(fields.begin(), fields.end(),
+                         [&key](const Field &f) { return f.key == key; });
+        if (field == fields.end()) {
+            const auto hint = std::find_if(
+                hints.begin(), hints.end(),
+                [&key](const auto &h) { return h.first == key; });
             fail(path, hint != hints.end()
-                           ? "unknown key (" + hint->second + ")"
+                           ? "unknown key (" + std::string(hint->second) +
+                                 ")"
                            : "unknown key");
         }
-        it->second(value, path);
+        field->set(value, path);
     }
 }
 
-std::map<std::string, FieldHandler>
-puFields(PuConfig &pu)
+/** An unsigned integer in [min, max]. */
+template <class T>
+Field
+uintField(std::string_view key, T &dst, unsigned min, unsigned max)
 {
-    return {
-        {"issue_width",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.issueWidth = unsigned(requireUint(v, p, 1, 16));
-         }},
-        {"out_of_order",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.outOfOrder = requireBool(v, p);
-         }},
-        {"window_size",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.windowSize = unsigned(requireUint(v, p, 1, 1024));
-         }},
-        {"fetch_buffer_size",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.fetchBufferSize = unsigned(requireUint(v, p, 1, 1024));
-         }},
-        {"intra_branch_predict",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.intraBranchPredict = requireBool(v, p);
-         }},
-        {"branch_predictor_entries",
-         [&pu](const json::Value &v, const std::string &p) {
-             pu.branchPredictorEntries =
-                 unsigned(requireUint(v, p, 1, 1u << 20));
-         }},
-    };
+    return {key,
+            [&dst, min, max](const json::Value &v, const std::string &p) {
+                dst = T(requireUint(v, p, min, max));
+            }};
 }
 
-FieldHandler
-cacheHandler(Cache::Params &cache)
+Field
+boolField(std::string_view key, bool &dst)
 {
-    return [&cache](const json::Value &v, const std::string &p) {
-        walkObject(
-            v, p,
-            {
-                {"size_bytes",
-                 [&cache](const json::Value &f, const std::string &fp) {
-                     cache.sizeBytes =
-                         std::size_t(requireUint(f, fp, 1, 1u << 30));
-                 }},
-                {"block_bytes",
-                 [&cache](const json::Value &f, const std::string &fp) {
-                     cache.blockBytes =
-                         std::size_t(requireUint(f, fp, 1, 1u << 20));
-                 }},
-                {"hit_latency",
-                 [&cache](const json::Value &f, const std::string &fp) {
-                     cache.hitLatency =
-                         unsigned(requireUint(f, fp, 0, 1024));
-                 }},
-            });
-    };
+    return {key,
+            [&dst](const json::Value &v, const std::string &p) {
+                dst = requireBool(v, p);
+            }};
+}
+
+/** A string naming one of @p choices. */
+template <class T>
+Field
+choiceField(std::string_view key, T &dst,
+            std::vector<std::pair<std::string, T>> choices)
+{
+    return {key,
+            [&dst, choices = std::move(choices)](const json::Value &v,
+                                                 const std::string &p) {
+                const std::string s = requireString(v, p);
+                std::string names;
+                for (std::size_t i = 0; i < choices.size(); ++i) {
+                    if (choices[i].first == s) {
+                        dst = choices[i].second;
+                        return;
+                    }
+                    if (i != 0)
+                        names += i + 1 == choices.size() ? " or " : ", ";
+                    names += "\"" + choices[i].first + "\"";
+                }
+                fail(p, "must be " + names + ", got \"" + s + "\"");
+            }};
+}
+
+/** A nested object whose keys are @p fields. */
+Field
+objectField(std::string_view key, std::vector<Field> fields,
+            Hints hints = {})
+{
+    return {key,
+            [fields = std::move(fields), hints = std::move(hints)](
+                const json::Value &v, const std::string &p) {
+                walkObject(v, p, fields, hints);
+            }};
+}
+
+Field
+puField(PuConfig &pu)
+{
+    return objectField(
+        "pu",
+        {
+            uintField("issue_width", pu.issueWidth, 1, 2),
+            boolField("out_of_order", pu.outOfOrder),
+            uintField("window_size", pu.windowSize, 1, 1024),
+            uintField("fetch_buffer_size", pu.fetchBufferSize, 1, 1024),
+            boolField("intra_branch_predict", pu.intraBranchPredict),
+            uintField("branch_predictor_entries",
+                      pu.branchPredictorEntries, 1, 1u << 20),
+        });
+}
+
+Field
+cacheField(std::string_view key, Cache::Params &cache)
+{
+    return objectField(
+        key,
+        {
+            uintField("size_bytes", cache.sizeBytes, 1, 1u << 30),
+            uintField("block_bytes", cache.blockBytes, 1, 1u << 20),
+            uintField("hit_latency", cache.hitLatency, 0, 1024),
+        });
 }
 
 /**
  * The "l2" key: null disables the shared L2 (the default machine),
- * an object configures it. Writes through @p l2 (an optional owned
- * by MsConfig or ScalarConfig).
+ * an object configures it.
  */
-FieldHandler
-l2Handler(std::optional<L2Params> &l2)
+Field
+l2Field(std::optional<L2Params> &l2)
 {
-    return [&l2](const json::Value &v, const std::string &p) {
-        if (v.isNull()) {
-            l2.reset();
-            return;
-        }
-        l2.emplace();
-        L2Params &params = *l2;
-        walkObject(
-            v, p,
-            {
-                {"size_bytes",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.sizeBytes =
-                         std::size_t(requireUint(f, fp, 1, 1u << 30));
-                 }},
-                {"assoc",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.assoc = unsigned(requireUint(f, fp, 1, 64));
-                 }},
-                {"block_bytes",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.blockBytes =
-                         std::size_t(requireUint(f, fp, 1, 1u << 20));
-                 }},
-                {"hit_latency",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.hitLatency =
-                         unsigned(requireUint(f, fp, 0, 1024));
-                 }},
-                {"num_banks",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.numBanks =
-                         unsigned(requireUint(f, fp, 1, 64));
-                 }},
-                {"mshrs_per_bank",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     params.mshrsPerBank =
-                         unsigned(requireUint(f, fp, 1, 1024));
-                 }},
-                {"inclusion",
-                 [&params](const json::Value &f, const std::string &fp) {
-                     const std::string s = requireString(f, fp);
-                     if (s == "inclusive")
-                         params.inclusion = L2Inclusion::kInclusive;
-                     else if (s == "exclusive")
-                         params.inclusion = L2Inclusion::kExclusive;
-                     else if (s == "nine")
-                         params.inclusion = L2Inclusion::kNine;
-                     else
-                         fail(fp, "must be \"inclusive\", "
-                                  "\"exclusive\" or \"nine\", got \"" +
-                                      s + "\"");
-                 }},
-            },
-            {{"bank_size_bytes",
-              "the L2 is sized by size_bytes split over num_banks"}});
-    };
+    return {"l2", [&l2](const json::Value &v, const std::string &p) {
+                if (v.isNull()) {
+                    l2.reset();
+                    return;
+                }
+                L2Params &c = l2.emplace();
+                walkObject(
+                    v, p,
+                    {
+                        uintField("size_bytes", c.sizeBytes, 1, 1u << 30),
+                        uintField("assoc", c.assoc, 1, 64),
+                        uintField("block_bytes", c.blockBytes, 1, 1u << 20),
+                        uintField("hit_latency", c.hitLatency, 0, 1024),
+                        uintField("num_banks", c.numBanks, 1, 64),
+                        uintField("mshrs_per_bank", c.mshrsPerBank, 1, 1024),
+                        choiceField("inclusion", c.inclusion,
+                                    {{"inclusive", L2Inclusion::kInclusive},
+                                     {"exclusive", L2Inclusion::kExclusive},
+                                     {"nine", L2Inclusion::kNine}}),
+                    },
+                    {{"bank_size_bytes",
+                      "the L2 is sized by size_bytes split over num_banks"}});
+            }};
 }
 
-FieldHandler
-busHandler(MemoryBus::Params &bus)
+Field
+busField(MemoryBus::Params &bus)
 {
-    return [&bus](const json::Value &v, const std::string &p) {
-        walkObject(
-            v, p,
-            {
-                {"first_beat_latency",
-                 [&bus](const json::Value &f, const std::string &fp) {
-                     bus.firstBeatLatency =
-                         unsigned(requireUint(f, fp, 1, 4096));
-                 }},
-                {"extra_beat_latency",
-                 [&bus](const json::Value &f, const std::string &fp) {
-                     bus.extraBeatLatency =
-                         unsigned(requireUint(f, fp, 0, 4096));
-                 }},
-                {"beat_words",
-                 [&bus](const json::Value &f, const std::string &fp) {
-                     bus.beatWords =
-                         unsigned(requireUint(f, fp, 1, 64));
-                 }},
-            });
-    };
+    return objectField(
+        "bus",
+        {
+            uintField("first_beat_latency", bus.firstBeatLatency, 1, 4096),
+            uintField("extra_beat_latency", bus.extraBeatLatency, 0, 4096),
+            uintField("beat_words", bus.beatWords, 1, 64),
+        });
 }
 
+/**
+ * Walk a whole document: @p fields and @p hints of one machine kind
+ * plus the header keys (read before the walk, by shapeFromJson) and
+ * the hints both kinds share.
+ */
 void
-parseMultiscalar(const json::Value &doc, MachineShape &shape)
+walkDocument(const json::Value &doc, std::vector<Field> fields,
+             Hints hints)
 {
-    MsConfig &ms = shape.ms;
-    std::map<std::string, FieldHandler> fields = {
-        {"schema", [](const json::Value &, const std::string &) {}},
-        {"name", [](const json::Value &, const std::string &) {}},
-        {"multiscalar",
-         [](const json::Value &, const std::string &) {}},
-        {"units",
-         [&ms](const json::Value &v, const std::string &p) {
-             ms.numUnits = unsigned(requireUint(v, p, 1, 64));
-         }},
-        {"pu",
-         [&ms](const json::Value &v, const std::string &p) {
-             walkObject(v, p, puFields(ms.pu));
-         }},
-        {"ring_hop_latency",
-         [&ms](const json::Value &v, const std::string &p) {
-             ms.ringHopLatency = unsigned(requireUint(v, p, 0, 64));
-         }},
-        {"icache", cacheHandler(ms.icache)},
-        {"dcache",
-         [&ms](const json::Value &v, const std::string &p) {
-             walkObject(
-                 v, p,
-                 {
-                     {"num_banks",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          // 0 is the documented defaulting marker:
-                          // "use 2 × units" (MsConfig::effectiveBanks).
-                          ms.numBanks =
-                              unsigned(requireUint(f, fp, 0, 1024));
-                      }},
-                     {"bank_size_bytes",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.bankSizeBytes = std::size_t(
-                              requireUint(f, fp, 1, 1u << 30));
-                      }},
-                     {"block_bytes",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.blockBytes = std::size_t(
-                              requireUint(f, fp, 1, 1u << 20));
-                      }},
-                     {"hit_latency",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.dcacheHitLatency =
-                              unsigned(requireUint(f, fp, 0, 1024));
-                      }},
-                 },
-                 {{"size_bytes",
-                   "multiscalar data banks use num_banks and "
-                   "bank_size_bytes"}});
-         }},
-        {"arb",
-         [&ms](const json::Value &v, const std::string &p) {
-             walkObject(
-                 v, p,
-                 {
-                     {"entries_per_bank",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.arbEntriesPerBank = unsigned(
-                              requireUint(f, fp, 1, 1u << 20));
-                      }},
-                     {"full_policy",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          const std::string s = requireString(f, fp);
-                          if (s == "squash")
-                              ms.arbFullPolicy = ArbFullPolicy::kSquash;
-                          else if (s == "stall")
-                              ms.arbFullPolicy = ArbFullPolicy::kStall;
-                          else
-                              fail(fp, "must be \"squash\" or "
-                                       "\"stall\", got \"" + s + "\"");
-                      }},
-                 });
-         }},
-        {"predictor",
-         [&ms](const json::Value &v, const std::string &p) {
-             walkObject(
-                 v, p,
-                 {
-                     {"kind",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          const std::string s = requireString(f, fp);
-                          if (s != "pas" && s != "last" &&
-                              s != "static")
-                              fail(fp, "must be \"pas\", \"last\" or "
-                                       "\"static\", got \"" + s +
-                                       "\"");
-                          ms.predictor = s;
-                      }},
-                     {"ras_entries",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.rasEntries = unsigned(
-                              requireUint(f, fp, 1, 1u << 16));
-                      }},
-                     {"descriptor_cache_entries",
-                      [&ms](const json::Value &f,
-                            const std::string &fp) {
-                          ms.descCacheEntries = unsigned(
-                              requireUint(f, fp, 1, 1u << 20));
-                      }},
-                 });
-         }},
-        {"l2", l2Handler(ms.l2)},
-        {"bus", busHandler(ms.bus)},
-    };
-    const std::map<std::string, std::string> hints = {
-        {"mshrs_per_bank", "belongs in the l2 block"},
-        {"inclusion", "belongs in the l2 block"},
-    };
+    for (const char *key : {"schema", "name", "multiscalar"})
+        fields.push_back({key, [](const json::Value &,
+                                  const std::string &) {}});
+    hints.emplace_back("mshrs_per_bank", "belongs in the l2 block");
+    hints.emplace_back("inclusion", "belongs in the l2 block");
     walkObject(doc, "", fields, hints);
 }
 
 void
-parseScalar(const json::Value &doc, MachineShape &shape)
+parseMultiscalar(const json::Value &doc, MsConfig &ms)
 {
-    ScalarConfig &sc = shape.scalar;
-    std::map<std::string, FieldHandler> fields = {
-        {"schema", [](const json::Value &, const std::string &) {}},
-        {"name", [](const json::Value &, const std::string &) {}},
-        {"multiscalar",
-         [](const json::Value &, const std::string &) {}},
-        {"pu",
-         [&sc](const json::Value &v, const std::string &p) {
-             walkObject(v, p, puFields(sc.pu));
-         }},
-        {"icache", cacheHandler(sc.icache)},
-        {"dcache", cacheHandler(sc.dcache)},
-        {"l2", l2Handler(sc.l2)},
-        {"bus", busHandler(sc.bus)},
-    };
-    const std::map<std::string, std::string> hints = {
-        {"units", "scalar shapes model a single unit"},
-        {"ring_hop_latency", "scalar shapes have no forwarding ring"},
-        {"arb", "scalar shapes have no ARB"},
-        {"predictor", "scalar shapes have no task predictor"},
-        {"mshrs_per_bank", "belongs in the l2 block"},
-        {"inclusion", "belongs in the l2 block"},
-    };
-    walkObject(doc, "", fields, hints);
+    walkDocument(
+        doc,
+        {
+            uintField("units", ms.numUnits, 1, 64),
+            puField(ms.pu),
+            uintField("ring_hop_latency", ms.ringHopLatency, 0, 64),
+            cacheField("icache", ms.icache),
+            objectField(
+                "dcache",
+                {
+                    // 0 is the documented defaulting marker: "use
+                    // 2 × units" (MsConfig::effectiveBanks).
+                    uintField("num_banks", ms.numBanks, 0, 1024),
+                    uintField("bank_size_bytes", ms.bankSizeBytes, 1,
+                              1u << 30),
+                    uintField("block_bytes", ms.blockBytes, 1, 1u << 20),
+                    uintField("hit_latency", ms.dcacheHitLatency, 0, 1024),
+                },
+                {{"size_bytes", "multiscalar data banks use num_banks "
+                                "and bank_size_bytes"}}),
+            objectField(
+                "arb",
+                {
+                    uintField("entries_per_bank", ms.arbEntriesPerBank, 1,
+                              1u << 20),
+                    choiceField("full_policy", ms.arbFullPolicy,
+                                {{"squash", ArbFullPolicy::kSquash},
+                                 {"stall", ArbFullPolicy::kStall}}),
+                }),
+            objectField(
+                "predictor",
+                {
+                    choiceField("kind", ms.predictor,
+                                {{"pas", "pas"},
+                                 {"last", "last"},
+                                 {"static", "static"}}),
+                    uintField("ras_entries", ms.rasEntries, 1, 1u << 16),
+                    uintField("descriptor_cache_entries",
+                              ms.descCacheEntries, 1, 1u << 20),
+                }),
+            l2Field(ms.l2),
+            busField(ms.bus),
+        },
+        {});
 }
 
-json::Value
-puToJson(const PuConfig &pu)
+void
+parseScalar(const json::Value &doc, ScalarConfig &sc)
 {
-    json::Value v = json::Value::object();
-    v.set("issue_width", json::Value(pu.issueWidth));
-    v.set("out_of_order", json::Value(pu.outOfOrder));
-    v.set("window_size", json::Value(pu.windowSize));
-    v.set("fetch_buffer_size", json::Value(pu.fetchBufferSize));
-    v.set("intra_branch_predict",
-          json::Value(pu.intraBranchPredict));
-    v.set("branch_predictor_entries",
-          json::Value(pu.branchPredictorEntries));
-    return v;
-}
-
-json::Value
-cacheToJson(const Cache::Params &cache)
-{
-    json::Value v = json::Value::object();
-    v.set("size_bytes", json::Value(std::uint64_t(cache.sizeBytes)));
-    v.set("block_bytes", json::Value(std::uint64_t(cache.blockBytes)));
-    v.set("hit_latency", json::Value(cache.hitLatency));
-    return v;
-}
-
-json::Value
-l2ToJson(const std::optional<L2Params> &l2)
-{
-    if (!l2)
-        return json::Value(nullptr);
-    json::Value v = json::Value::object();
-    v.set("size_bytes", json::Value(std::uint64_t(l2->sizeBytes)));
-    v.set("assoc", json::Value(l2->assoc));
-    v.set("block_bytes", json::Value(std::uint64_t(l2->blockBytes)));
-    v.set("hit_latency", json::Value(l2->hitLatency));
-    v.set("num_banks", json::Value(l2->numBanks));
-    v.set("mshrs_per_bank", json::Value(l2->mshrsPerBank));
-    const char *inclusion = "nine";
-    if (l2->inclusion == L2Inclusion::kInclusive)
-        inclusion = "inclusive";
-    else if (l2->inclusion == L2Inclusion::kExclusive)
-        inclusion = "exclusive";
-    v.set("inclusion", json::Value(inclusion));
-    return v;
-}
-
-json::Value
-busToJson(const MemoryBus::Params &bus)
-{
-    json::Value v = json::Value::object();
-    v.set("first_beat_latency", json::Value(bus.firstBeatLatency));
-    v.set("extra_beat_latency", json::Value(bus.extraBeatLatency));
-    v.set("beat_words", json::Value(bus.beatWords));
-    return v;
+    walkDocument(
+        doc,
+        {
+            puField(sc.pu),
+            cacheField("icache", sc.icache),
+            cacheField("dcache", sc.dcache),
+            l2Field(sc.l2),
+            busField(sc.bus),
+        },
+        {
+            {"units", "scalar shapes model a single unit"},
+            {"ring_hop_latency", "scalar shapes have no forwarding ring"},
+            {"arb", "scalar shapes have no ARB"},
+            {"predictor", "scalar shapes have no task predictor"},
+        });
 }
 
 /** Parse a shape from its JSON document (strict; throws ConfigError). */
@@ -466,78 +344,22 @@ shapeFromJson(const json::Value &doc)
     if (const json::Value *ms = doc.find("multiscalar"))
         shape.multiscalar = requireBool(*ms, "multiscalar");
 
-    if (shape.multiscalar) {
-        parseMultiscalar(doc, shape);
-        try {
+    if (shape.multiscalar)
+        parseMultiscalar(doc, shape.ms);
+    else
+        parseScalar(doc, shape.scalar);
+    try {
+        if (shape.multiscalar)
             shape.ms.validate();
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const FatalError &e) {
-            fail("", e.what());
-        }
-    } else {
-        parseScalar(doc, shape);
-        try {
+        else
             shape.scalar.validate();
-        } catch (const ConfigError &) {
-            throw;
-        } catch (const FatalError &e) {
-            fail("", e.what());
-        }
+    } catch (const FatalError &e) {
+        fail("", e.what());
     }
     return shape;
 }
 
 } // namespace
-
-json::Value
-shapeToJson(const MachineShape &shape)
-{
-    json::Value v = json::Value::object();
-    v.set("schema", json::Value(kShapeSchema));
-    if (!shape.name.empty())
-        v.set("name", json::Value(shape.name));
-    v.set("multiscalar", json::Value(shape.multiscalar));
-    if (shape.multiscalar) {
-        const MsConfig &ms = shape.ms;
-        v.set("units", json::Value(ms.numUnits));
-        v.set("pu", puToJson(ms.pu));
-        v.set("ring_hop_latency", json::Value(ms.ringHopLatency));
-        v.set("icache", cacheToJson(ms.icache));
-        json::Value dcache = json::Value::object();
-        dcache.set("num_banks", json::Value(ms.numBanks));
-        dcache.set("bank_size_bytes",
-                   json::Value(std::uint64_t(ms.bankSizeBytes)));
-        dcache.set("block_bytes",
-                   json::Value(std::uint64_t(ms.blockBytes)));
-        dcache.set("hit_latency", json::Value(ms.dcacheHitLatency));
-        v.set("dcache", std::move(dcache));
-        json::Value arb = json::Value::object();
-        arb.set("entries_per_bank",
-                json::Value(ms.arbEntriesPerBank));
-        arb.set("full_policy",
-                json::Value(ms.arbFullPolicy == ArbFullPolicy::kSquash
-                                ? "squash"
-                                : "stall"));
-        v.set("arb", std::move(arb));
-        json::Value pred = json::Value::object();
-        pred.set("kind", json::Value(ms.predictor));
-        pred.set("ras_entries", json::Value(ms.rasEntries));
-        pred.set("descriptor_cache_entries",
-                 json::Value(ms.descCacheEntries));
-        v.set("predictor", std::move(pred));
-        v.set("l2", l2ToJson(ms.l2));
-        v.set("bus", busToJson(ms.bus));
-    } else {
-        const ScalarConfig &sc = shape.scalar;
-        v.set("pu", puToJson(sc.pu));
-        v.set("icache", cacheToJson(sc.icache));
-        v.set("dcache", cacheToJson(sc.dcache));
-        v.set("l2", l2ToJson(sc.l2));
-        v.set("bus", busToJson(sc.bus));
-    }
-    return v;
-}
 
 MachineShape
 parseShape(const std::string &text)
@@ -565,12 +387,6 @@ loadShapeFile(const std::string &path)
         // Re-anchor the diagnostic on the file.
         throw ConfigError(e.path, "in " + path + ": " + e.reason);
     }
-}
-
-bool
-shapeEquals(const MachineShape &a, const MachineShape &b)
-{
-    return shapeToJson(a).dump() == shapeToJson(b).dump();
 }
 
 std::string

@@ -16,11 +16,11 @@
  * and every parsed shape passes MsConfig::validate() before it is
  * returned — a typo can never silently simulate a default machine.
  *
+ * The parser reads one table row per key: the key, the member it
+ * sets, and its integer range or allowed names.
+ *
  * Shapes ship as files in <repo>/shapes (one per named preset;
- * overridable with $MSIM_SHAPE_DIR). Serialization is canonical
- * (full form, fixed key order), so parse → serialize → parse is the
- * identity and shape equality is string equality of the canonical
- * dumps.
+ * overridable with $MSIM_SHAPE_DIR).
  */
 
 #ifndef MSIM_CONFIG_MACHINE_SHAPE_HH
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/ms_config.hh"
 #include "core/scalar_processor.hh"
@@ -67,19 +66,15 @@ struct MachineShape
     bool multiscalar = true;
     MsConfig ms;
     ScalarConfig scalar;
-};
 
-/** Serialize the canonical full form (fixed key order, all fields). */
-json::Value shapeToJson(const MachineShape &shape);
+    bool operator==(const MachineShape &) const = default;
+};
 
 /** Parse a shape from JSON text (ParseError becomes ConfigError). */
 MachineShape parseShape(const std::string &text);
 
 /** Load and parse one shape file. */
 MachineShape loadShapeFile(const std::string &path);
-
-/** Structural equality via canonical serialization. */
-bool shapeEquals(const MachineShape &a, const MachineShape &b);
 
 /**
  * The shape preset directory: $MSIM_SHAPE_DIR when set, else the

@@ -43,8 +43,9 @@ checkCacheGeometry(const char *scope, const char *field,
 void
 checkPu(const char *scope, const PuConfig &pu)
 {
-    if (pu.issueWidth == 0 || pu.issueWidth > 16)
-        bad(scope, "pu.issueWidth", "must be in [1, 16]");
+    // Paper section 5.1: 1- or 2-way issue (ProcessingUnit's limit).
+    if (pu.issueWidth == 0 || pu.issueWidth > 2)
+        bad(scope, "pu.issueWidth", "must be in [1, 2]");
     if (pu.windowSize == 0)
         bad(scope, "pu.windowSize", "must be non-zero");
     if (pu.fetchBufferSize == 0)

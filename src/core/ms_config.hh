@@ -118,6 +118,8 @@ struct MsConfig
      * (src/config) runs the same check on every parsed shape.
      */
     void validate() const;
+
+    bool operator==(const MsConfig &) const = default;
 };
 
 } // namespace msim

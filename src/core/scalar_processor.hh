@@ -57,6 +57,8 @@ struct ScalarConfig
      * ScalarProcessor construction and on every parsed scalar shape.
      */
     void validate() const;
+
+    bool operator==(const ScalarConfig &) const = default;
 };
 
 /** The scalar baseline machine. */

@@ -28,6 +28,8 @@ class MemoryBus
         unsigned firstBeatLatency = 10;  //!< cycles for the first 4 words
         unsigned extraBeatLatency = 1;   //!< per additional 4 words
         unsigned beatWords = 4;          //!< words per beat
+
+        bool operator==(const Params &) const = default;
     };
 
     explicit MemoryBus(StatGroup &stats) : MemoryBus(stats, Params{}) {}

@@ -42,6 +42,8 @@ class Cache
         size_t sizeBytes = 32 * 1024;
         size_t blockBytes = 64;
         unsigned hitLatency = 1;
+
+        bool operator==(const Params &) const = default;
     };
 
     Cache(StatGroup &stats, MemLevel &next, const Params &params,

@@ -59,6 +59,8 @@ struct L2Params
     unsigned numBanks = 4;
     unsigned mshrsPerBank = 8;
     L2Inclusion inclusion = L2Inclusion::kNine;
+
+    bool operator==(const L2Params &) const = default;
 };
 
 /** The shared L2 timing model (sits behind the MemLevel seam). */

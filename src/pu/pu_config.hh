@@ -33,6 +33,8 @@ struct PuConfig
     /** Entries in the intra-unit bimodal predictor. */
     unsigned branchPredictorEntries = 512;
 
+    bool operator==(const PuConfig &) const = default;
+
     /** Number of simple integer FUs (paper: matches issue width). */
     unsigned
     numSimpleIntFus() const

@@ -1,6 +1,5 @@
 #include "sim/runner.hh"
 
-#include "analysis/verifier.hh"
 #include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "core/multiscalar_processor.hh"
@@ -49,14 +48,6 @@ runCompiled(const CompiledWorkload &compiled, const RunSpec &spec)
     fatalIf(spec.defines != compiled.defines,
             "runCompiled: spec defines differ from the ones '",
             compiled.workload.name, "' was assembled with");
-
-    if (spec.strictAnnotations) {
-        const analysis::AnnotationVerifier verifier(compiled.program);
-        const analysis::AnalysisReport report = verifier.verify();
-        fatalIf(report.hasErrors(), "workload ", compiled.workload.name,
-                " fails strict annotation verification:\n",
-                report.toText());
-    }
 
     RunResult result =
         spec.multiscalar

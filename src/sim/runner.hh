@@ -69,15 +69,6 @@ struct RunSpec
     /** Verify output against the workload's golden model. */
     bool checkOutput = true;
     /**
-     * Strict annotation mode: run the static annotation verifier
-     * (src/analysis/) over the assembled program before simulating
-     * and fail (FatalError, with the full diagnostic text) when it
-     * reports any error. Warnings are not fatal. Off by default —
-     * msim-lint covers the workloads in CI; this is the opt-in for
-     * runs that want the same gate inline.
-     */
-    bool strictAnnotations = false;
-    /**
      * Event tracing. When enabled, overrides the trace config of
      * whichever machine the spec selects.
      */

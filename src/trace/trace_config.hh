@@ -69,6 +69,8 @@ struct TraceConfig
 
     /** Hard cap on recorded events; later events are dropped. */
     std::uint64_t maxEvents = 10'000'000;
+
+    bool operator==(const TraceConfig &) const = default;
 };
 
 } // namespace msim

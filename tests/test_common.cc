@@ -300,24 +300,49 @@ TEST(RingFifo, MatchesDequeUnderRandomOperations)
 }
 
 // ---------------------------------------------------------------------
-// JSON: parser, writer, strictness.
+// JSON: parser, strictness.
 // ---------------------------------------------------------------------
 
 using json::Value;
 
 TEST(Json, RoundTripsDocuments)
 {
-    const std::string text =
-        "{\"a\":1,\"b\":[true,null,\"x\"],\"c\":{\"d\":-2.5}}";
-    const Value v = Value::parse(text);
-    EXPECT_EQ(v.dump(), text);
+    const Value v = Value::parse(
+        "{\"a\":1,\"b\":[true,null,\"x\"],\"c\":{\"d\":-2.5}}");
+    ASSERT_TRUE(v.isObject());
+    ASSERT_EQ(v.entries().size(), 3u);
+    EXPECT_EQ(v.find("a")->asInt(), 1);
+    const std::vector<Value> &b = v.find("b")->items();
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_TRUE(b[0].asBool());
+    EXPECT_TRUE(b[1].isNull());
+    EXPECT_EQ(b[2].asString(), "x");
+    const Value *c = v.find("c");
+    ASSERT_TRUE(c->isObject());
+    EXPECT_EQ(c->find("d")->asDouble(), -2.5);
 }
 
 TEST(Json, PreservesIntegers)
 {
-    const Value v = Value::parse("[1000000000000, 0, -7]");
-    EXPECT_EQ(v.dump(), "[1000000000000,0,-7]");
+    // 2^53 + 1 has no exact double; the integer keeps it.
+    const Value v = Value::parse("[1000000000000, 0, -7, 9007199254740993]");
+    ASSERT_EQ(v.items().size(), 4u);
     EXPECT_EQ(v.items()[0].asInt(), 1000000000000ll);
+    EXPECT_EQ(v.items()[1].asInt(), 0);
+    EXPECT_EQ(v.items()[2].asInt(), -7);
+    EXPECT_EQ(v.items()[3].asInt(), 9007199254740993ll);
+}
+
+TEST(Json, AsIntRejectsNumbersOutsideInt64)
+{
+    // A double this large has no int64 value; converting it would be
+    // undefined behaviour, so asInt() throws instead.
+    EXPECT_THROW(Value::parse("1e30").asInt(), std::runtime_error);
+    EXPECT_THROW(Value::parse("-1e30").asInt(), std::runtime_error);
+    EXPECT_THROW(Value::parse("99999999999999999999").asInt(),
+                 std::runtime_error);
+    EXPECT_EQ(Value::parse("2.5").asInt(), 2);
+    EXPECT_EQ(Value::parse("1e3").asInt(), 1000);
 }
 
 TEST(Json, DecodesEscapesAndSurrogatePairs)
@@ -331,7 +356,9 @@ TEST(Json, ObjectLookupIsInsertionOrdered)
     Value v = Value::object();
     v.set("z", Value(1));
     v.set("a", Value(2));
-    EXPECT_EQ(v.dump(), "{\"z\":1,\"a\":2}");
+    ASSERT_EQ(v.entries().size(), 2u);
+    EXPECT_EQ(v.entries()[0].first, "z");
+    EXPECT_EQ(v.entries()[1].first, "a");
     ASSERT_NE(v.find("a"), nullptr);
     EXPECT_EQ(v.find("a")->asInt(), 2);
     EXPECT_EQ(v.find("missing"), nullptr);

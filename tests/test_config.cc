@@ -1,17 +1,21 @@
 /**
  * @file
  * Tests for the declarative machine-shape layer (src/config): strict
- * parsing with dotted-path diagnostics, canonical round-trip
- * identity, preset resolution, equivalence of the paper-default shape
- * with the default-constructed configs (including identical simulated
- * cycles).
+ * parsing with dotted-path diagnostics, which key sets which member,
+ * mutated shape files failing cleanly, preset resolution, equivalence
+ * of the paper-default shape with the default-constructed configs
+ * (including identical simulated cycles).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "common/rng.hh"
 #include "config/machine_shape.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
@@ -46,8 +50,8 @@ expectParseError(const std::string &text, const std::string &path,
 TEST(Shapes, ShippedPresetsAllParseAndRoundTrip)
 {
     // Every file in shapes/ parses and validates, carries the name of
-    // its basename, resolves by that name, and round-trips. A bad file
-    // fails on its own and the others are still checked.
+    // its basename, and resolves by that name to an equal shape. A
+    // bad file fails on its own and the others are still checked.
     const std::vector<std::string> names = config::listShapeNames();
     ASSERT_GE(names.size(), 30u) << "shape dir " << config::shapeDir();
     for (const std::string &name : names) {
@@ -66,36 +70,24 @@ TEST(Shapes, ShippedPresetsAllParseAndRoundTrip)
         else
             EXPECT_NO_THROW(shape.scalar.validate());
         EXPECT_EQ(shape.name, name);
-        EXPECT_TRUE(
-            config::shapeEquals(shape, config::resolveShape(name)));
-        // parse → serialize → parse is the identity.
-        const MachineShape again =
-            config::parseShape(config::shapeToJson(shape).dump());
-        EXPECT_TRUE(config::shapeEquals(shape, again));
-        EXPECT_EQ(config::shapeToJson(shape).dump(),
-                  config::shapeToJson(again).dump());
+        EXPECT_EQ(shape, config::resolveShape(name));
     }
 }
 
 TEST(Shapes, PaperDefaultIsTheDefaultConstructedConfig)
 {
-    // The shipped paper-default shape and a default-constructed
-    // MsConfig must serialize to the same canonical bytes — the
-    // paper's section 5.1 machine is the library default, and the
-    // shape file cannot drift from it.
+    // The shipped paper-default shape must equal a default-constructed
+    // MsConfig — the paper's section 5.1 machine is the library
+    // default, and the shape file cannot drift from it.
     MachineShape dflt;
     dflt.name = "paper-default";
     dflt.multiscalar = true;
-    EXPECT_EQ(config::shapeToJson(dflt).dump(),
-              config::shapeToJson(config::resolveShape("paper-default"))
-                  .dump());
+    EXPECT_EQ(dflt, config::resolveShape("paper-default"));
 
     MachineShape scalar;
     scalar.name = "scalar-1w";
     scalar.multiscalar = false;
-    EXPECT_EQ(config::shapeToJson(scalar).dump(),
-              config::shapeToJson(config::resolveShape("scalar-1w"))
-                  .dump());
+    EXPECT_EQ(scalar, config::resolveShape("scalar-1w"));
 }
 
 TEST(Shapes, PaperDefaultReproducesDefaultGoldenCycles)
@@ -160,6 +152,112 @@ TEST(ShapeParse, MinimalDocumentUsesDefaults)
     EXPECT_EQ(shape.ms.arbEntriesPerBank, MsConfig().arbEntriesPerBank);
 }
 
+TEST(ShapeParse, EveryKeySetsItsField)
+{
+    // Every key set to a value that differs from its default and from
+    // its neighbours, compared against the config built member by
+    // member: a key wired to the wrong member cannot pass.
+    const MachineShape ms = config::parseShape(R"({
+        "schema": "msim-shape-v1", "name": "every-key",
+        "multiscalar": true, "units": 8,
+        "pu": {"issue_width": 2, "out_of_order": true,
+               "window_size": 32, "fetch_buffer_size": 12,
+               "intra_branch_predict": true,
+               "branch_predictor_entries": 1024},
+        "ring_hop_latency": 5,
+        "icache": {"size_bytes": 16384, "block_bytes": 32,
+                   "hit_latency": 4},
+        "dcache": {"num_banks": 4, "bank_size_bytes": 4096,
+                   "block_bytes": 32, "hit_latency": 3},
+        "arb": {"entries_per_bank": 64, "full_policy": "stall"},
+        "predictor": {"kind": "last", "ras_entries": 16,
+                      "descriptor_cache_entries": 512},
+        "l2": {"size_bytes": 131072, "assoc": 4, "block_bytes": 32,
+               "hit_latency": 9, "num_banks": 2, "mshrs_per_bank": 3,
+               "inclusion": "exclusive"},
+        "bus": {"first_beat_latency": 20, "extra_beat_latency": 2,
+                "beat_words": 8}})");
+    MachineShape want;
+    want.name = "every-key";
+    want.multiscalar = true;
+    want.ms.numUnits = 8;
+    want.ms.pu.issueWidth = 2;
+    want.ms.pu.outOfOrder = true;
+    want.ms.pu.windowSize = 32;
+    want.ms.pu.fetchBufferSize = 12;
+    want.ms.pu.intraBranchPredict = true;
+    want.ms.pu.branchPredictorEntries = 1024;
+    want.ms.ringHopLatency = 5;
+    want.ms.icache.sizeBytes = 16384;
+    want.ms.icache.blockBytes = 32;
+    want.ms.icache.hitLatency = 4;
+    want.ms.numBanks = 4;
+    want.ms.bankSizeBytes = 4096;
+    want.ms.blockBytes = 32;
+    want.ms.dcacheHitLatency = 3;
+    want.ms.arbEntriesPerBank = 64;
+    want.ms.arbFullPolicy = ArbFullPolicy::kStall;
+    want.ms.predictor = "last";
+    want.ms.rasEntries = 16;
+    want.ms.descCacheEntries = 512;
+    want.ms.l2.emplace();
+    want.ms.l2->sizeBytes = 131072;
+    want.ms.l2->assoc = 4;
+    want.ms.l2->blockBytes = 32;
+    want.ms.l2->hitLatency = 9;
+    want.ms.l2->numBanks = 2;
+    want.ms.l2->mshrsPerBank = 3;
+    want.ms.l2->inclusion = L2Inclusion::kExclusive;
+    want.ms.bus.firstBeatLatency = 20;
+    want.ms.bus.extraBeatLatency = 2;
+    want.ms.bus.beatWords = 8;
+    EXPECT_EQ(ms, want);
+
+    const MachineShape sc = config::parseShape(R"({
+        "schema": "msim-shape-v1", "name": "every-key-scalar",
+        "multiscalar": false,
+        "pu": {"issue_width": 2, "out_of_order": true,
+               "window_size": 24, "fetch_buffer_size": 6,
+               "intra_branch_predict": true,
+               "branch_predictor_entries": 256},
+        "icache": {"size_bytes": 16384, "block_bytes": 32,
+                   "hit_latency": 2},
+        "dcache": {"size_bytes": 32768, "block_bytes": 32,
+                   "hit_latency": 3},
+        "l2": {"size_bytes": 262144, "assoc": 2, "block_bytes": 32,
+               "hit_latency": 7, "num_banks": 8, "mshrs_per_bank": 5,
+               "inclusion": "inclusive"},
+        "bus": {"first_beat_latency": 30, "extra_beat_latency": 4,
+                "beat_words": 2}})");
+    MachineShape want_sc;
+    want_sc.name = "every-key-scalar";
+    want_sc.multiscalar = false;
+    want_sc.scalar.pu.issueWidth = 2;
+    want_sc.scalar.pu.outOfOrder = true;
+    want_sc.scalar.pu.windowSize = 24;
+    want_sc.scalar.pu.fetchBufferSize = 6;
+    want_sc.scalar.pu.intraBranchPredict = true;
+    want_sc.scalar.pu.branchPredictorEntries = 256;
+    want_sc.scalar.icache.sizeBytes = 16384;
+    want_sc.scalar.icache.blockBytes = 32;
+    want_sc.scalar.icache.hitLatency = 2;
+    want_sc.scalar.dcache.sizeBytes = 32768;
+    want_sc.scalar.dcache.blockBytes = 32;
+    want_sc.scalar.dcache.hitLatency = 3;
+    want_sc.scalar.l2.emplace();
+    want_sc.scalar.l2->sizeBytes = 262144;
+    want_sc.scalar.l2->assoc = 2;
+    want_sc.scalar.l2->blockBytes = 32;
+    want_sc.scalar.l2->hitLatency = 7;
+    want_sc.scalar.l2->numBanks = 8;
+    want_sc.scalar.l2->mshrsPerBank = 5;
+    want_sc.scalar.l2->inclusion = L2Inclusion::kInclusive;
+    want_sc.scalar.bus.firstBeatLatency = 30;
+    want_sc.scalar.bus.extraBeatLatency = 4;
+    want_sc.scalar.bus.beatWords = 2;
+    EXPECT_EQ(sc, want_sc);
+}
+
 TEST(ShapeParse, WrongSchemaFails)
 {
     expectParseError("{\"schema\": \"msim-shape-v2\"}", "schema",
@@ -201,9 +299,13 @@ TEST(ShapeParse, OutOfRangeGeometryFails)
     expectParseError("{\"units\": 65}", "units", "must be in [1, 64]");
     expectParseError("{\"arb\": {\"entries_per_bank\": 0}}",
                      "arb.entries_per_bank", "must be in");
-    expectParseError("{\"pu\": {\"issue_width\": 17}}",
-                     "pu.issue_width", "must be in [1, 16]");
+    expectParseError("{\"pu\": {\"issue_width\": 3}}",
+                     "pu.issue_width", "must be in [1, 2]");
     expectParseError("{\"units\": -1}", "units", "non-negative");
+    // Too large for any integer type: a range error, not a cast.
+    expectParseError("{\"units\": 1e30}", "units", "must be in [1, 64]");
+    expectParseError("{\"units\": 99999999999999999999}", "units",
+                     "must be in [1, 64]");
     expectParseError("{\"units\": 2.5}", "units", "integer");
     expectParseError("{\"units\": \"four\"}", "units", "integer");
 }
@@ -249,31 +351,23 @@ TEST(ShapeParse, L2DefaultsToNullAndRoundTrips)
         "{\"l2\": {\"size_bytes\": 65536, \"assoc\": 4, "
         "\"hit_latency\": 9, \"num_banks\": 2, "
         "\"mshrs_per_bank\": 3, \"inclusion\": \"exclusive\"}}");
-    ASSERT_TRUE(shape.ms.l2.has_value());
-    EXPECT_EQ(shape.ms.l2->sizeBytes, 65536u);
-    EXPECT_EQ(shape.ms.l2->assoc, 4u);
-    EXPECT_EQ(shape.ms.l2->hitLatency, 9u);
-    EXPECT_EQ(shape.ms.l2->numBanks, 2u);
-    EXPECT_EQ(shape.ms.l2->mshrsPerBank, 3u);
-    EXPECT_EQ(shape.ms.l2->inclusion, L2Inclusion::kExclusive);
-
-    // Canonical serialization round-trips both forms, and the
-    // L2-less canonical dump carries an explicit "l2": null.
-    const MachineShape again =
-        config::parseShape(config::shapeToJson(shape).dump());
-    EXPECT_TRUE(config::shapeEquals(shape, again));
-    EXPECT_NE(config::shapeToJson(config::parseShape("{}"))
-                  .dump()
-                  .find("\"l2\":null"),
-              std::string::npos);
+    L2Params expected;
+    expected.sizeBytes = 65536;
+    expected.assoc = 4;
+    expected.hitLatency = 9;
+    expected.numBanks = 2;
+    expected.mshrsPerBank = 3;
+    expected.inclusion = L2Inclusion::kExclusive;
+    EXPECT_EQ(shape.ms.l2, expected);
+    EXPECT_EQ(config::parseShape("{}"),
+              config::parseShape("{\"l2\": null}"));
 
     // The scalar baseline takes the same block.
     const MachineShape sc = config::parseShape(
         "{\"multiscalar\": false, \"l2\": {\"size_bytes\": 131072}}");
-    ASSERT_TRUE(sc.scalar.l2.has_value());
-    EXPECT_EQ(sc.scalar.l2->sizeBytes, 131072u);
-    EXPECT_TRUE(config::shapeEquals(
-        sc, config::parseShape(config::shapeToJson(sc).dump())));
+    L2Params sc_expected;
+    sc_expected.sizeBytes = 131072;
+    EXPECT_EQ(sc.scalar.l2, sc_expected);
 }
 
 TEST(ShapeParse, L2InvalidValuesRejected)
@@ -313,6 +407,127 @@ TEST(ShapeParse, MalformedJsonBecomesConfigError)
 {
     expectParseError("{\"units\": }", "(document)");
     expectParseError("", "(document)");
+}
+
+/** Parsing @p text must give a validated shape or a ConfigError. */
+void
+expectShapeOrConfigError(const std::string &text)
+{
+    try {
+        const MachineShape shape = config::parseShape(text);
+        if (shape.multiscalar)
+            EXPECT_NO_THROW(shape.ms.validate()) << text;
+        else
+            EXPECT_NO_THROW(shape.scalar.validate()) << text;
+    } catch (const ConfigError &) {
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "not a ConfigError: " << e.what() << "\nfor: "
+                      << text;
+    } catch (...) {
+        ADD_FAILURE() << "not a ConfigError, for: " << text;
+    }
+}
+
+/** [pos, pos + len) of each number token outside strings. */
+std::vector<std::pair<std::size_t, std::size_t>>
+numberTokens(const std::string &text)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> tokens;
+    bool in_string = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (in_string) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == '-' || (c >= '0' && c <= '9')) {
+            const std::size_t end =
+                text.find_first_not_of("-+.eE0123456789", i);
+            const std::size_t stop = end == std::string::npos
+                                         ? text.size()
+                                         : end;
+            tokens.emplace_back(i, stop - i);
+            i = stop - 1;
+        }
+    }
+    return tokens;
+}
+
+TEST(ShapeParse, MutatedShapesParseOrFailWithConfigError)
+{
+    // Seeded mutations of every shipped shape file: each parse either
+    // returns a validated shape or throws ConfigError — never another
+    // exception, a crash, or (under the sanitizers) undefined
+    // behaviour.
+    std::vector<std::filesystem::path> files;
+    for (const char *dir : {"shapes", "perfbench/shapes"}) {
+        for (const auto &entry : std::filesystem::directory_iterator(
+                 std::string(MSIM_SOURCE_DIR) + "/" + dir))
+            if (entry.path().extension() == ".json")
+                files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_GE(files.size(), 40u);
+
+    const char *const numbers[] = {"-1",         "0",
+                                   "2.5",        "1e30",
+                                   "4294967296", "18446744073709551616"};
+    const std::string alphabet = "{}[]\":,.-+eE019 tfnul\\\n\x01\xff";
+    Rng rng(0x5eed);
+    unsigned parses = 0;
+    for (const auto &file : files) {
+        SCOPED_TRACE(file.string());
+        std::ifstream in(file);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        const std::string text = ss.str();
+
+        // Every number token swapped for each awkward value.
+        for (const auto &[pos, len] : numberTokens(text)) {
+            for (const char *n : numbers) {
+                expectShapeOrConfigError(
+                    std::string(text).replace(pos, len, n));
+                ++parses;
+            }
+        }
+
+        // Every key duplicated: strict parsing always rejects it.
+        for (std::size_t pos = text.find("\":"); pos != std::string::npos;
+             pos = text.find("\":", pos + 1)) {
+            const std::size_t open = text.rfind('"', pos - 1);
+            const std::string key = text.substr(open, pos + 1 - open);
+            const std::string dup =
+                std::string(text).insert(open, key + ": 1, ");
+            EXPECT_THROW(config::parseShape(dup), ConfigError) << dup;
+            ++parses;
+        }
+
+        // Random byte edits: delete, insert or replace 1-4 bytes,
+        // up to three edits per mutant.
+        for (int m = 0; m < 40; ++m) {
+            std::string mut = text;
+            for (int e = int(rng.range(1, 3)); e > 0; --e) {
+                const std::size_t pos = rng.below(mut.size() + 1);
+                const std::size_t len = std::size_t(rng.range(1, 4));
+                std::string bytes;
+                for (std::size_t i = 0; i < len; ++i)
+                    bytes += rng.below(4) == 0
+                                 ? char(rng.below(256))
+                                 : alphabet[rng.below(alphabet.size())];
+                switch (rng.below(3)) {
+                  case 0: mut.erase(pos, len); break;
+                  case 1: mut.insert(pos, bytes); break;
+                  default: mut.replace(pos, len, bytes); break;
+                }
+            }
+            expectShapeOrConfigError(mut);
+            ++parses;
+        }
+    }
+    EXPECT_GE(parses, 2000u);
 }
 
 TEST(ShapeParse, LoadShapeFileAnchorsErrorsOnTheFile)

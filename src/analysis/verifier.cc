@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -77,12 +76,11 @@ syscallReadsA0(int code)
  * callee-save store through $sp/$fp; syscall argument registers the
  * (constant-propagated) syscall code does not read.
  *
- * @param v0Const the value of $v0 when a block-local li established
- *                it, used to resolve which arguments a syscall reads.
+ * @param a0Read whether a syscall here reads $a0: false only when a
+ *               block-local li pinned $v0 to a code that does not.
  */
 unsigned
-usesForUbd(const Instruction &inst, std::optional<int> v0Const,
-           RegIndex out[4])
+usesForUbd(const Instruction &inst, bool a0Read, RegIndex out[4])
 {
     unsigned n = 0;
     switch (inst.cls()) {
@@ -90,7 +88,7 @@ usesForUbd(const Instruction &inst, std::optional<int> v0Const,
         return 0;
       case InstClass::kSyscall:
         out[n++] = isa::intReg(isa::kRegV0);
-        if (!v0Const || syscallReadsA0(*v0Const))
+        if (a0Read)
             out[n++] = isa::intReg(isa::kRegA0);
         return n;
       case InstClass::kStore:
@@ -112,21 +110,19 @@ usesForUbd(const Instruction &inst, std::optional<int> v0Const,
 /**
  * Track block-local knowledge of $v0 for syscall-argument
  * resolution: a `li $v0, code` (addiu/ori with $zero source) pins
- * it; any other write invalidates it.
+ * whether a syscall reads $a0; any other write means it may.
  */
 void
-trackV0(const Instruction &inst, std::optional<int> &v0Const)
+trackV0(const Instruction &inst, bool &a0Read)
 {
     RegIndex d = defOf(inst);
     if (d != isa::intReg(isa::kRegV0))
         return;
-    if ((inst.op == Opcode::kAddiu || inst.op == Opcode::kAddi ||
-         inst.op == Opcode::kOri) &&
-        inst.rs == isa::kRegZero) {
-        v0Const = inst.imm;
-    } else {
-        v0Const = std::nullopt;
-    }
+    const bool li = (inst.op == Opcode::kAddiu ||
+                     inst.op == Opcode::kAddi ||
+                     inst.op == Opcode::kOri) &&
+                    inst.rs == isa::kRegZero;
+    a0Read = !li || syscallReadsA0(inst.imm);
 }
 
 /** Per-block GEN sets for the def and forward dataflow problems. */
@@ -255,11 +251,11 @@ AnnotationVerifier::computeFacts(Addr start)
     const RegMask exempt = stackRegs();
     for (size_t b = 0; b < cfg.blocks().size(); ++b) {
         RegMask defined = mustDefIn[b];
-        std::optional<int> v0Const;
+        bool a0Read = true;
         for (Addr pc : cfg.blocks()[b].pcs) {
             const Instruction *inst = prog_.instrAt(pc);
             RegIndex uses[4];
-            unsigned n = usesForUbd(*inst, v0Const, uses);
+            unsigned n = usesForUbd(*inst, a0Read, uses);
             for (unsigned i = 0; i < n; ++i) {
                 RegIndex u = uses[i];
                 if (u <= 0 || exempt.test(u) || defined.test(u))
@@ -268,7 +264,7 @@ AnnotationVerifier::computeFacts(Addr start)
                 if (f.firstUbdPc[u] == 0)
                     f.firstUbdPc[u] = pc;
             }
-            trackV0(*inst, v0Const);
+            trackV0(*inst, a0Read);
             RegIndex d = defOf(*inst);
             if (d > 0)
                 defined.set(d);

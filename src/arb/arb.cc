@@ -234,37 +234,33 @@ Arb::store(TaskSeq seq, Addr addr, unsigned size, std::uint64_t value,
             }
         }
 
+        // Buffer the stored bytes in @p rec (the mask bounds the
+        // granule index, so no byte lands outside rec.bytes).
+        auto buffer = [&](TaskRecord &rec) {
+            for (unsigned b = 0; b < kGranule; ++b) {
+                if (store_mask & (1u << b))
+                    rec.bytes[b] = bytes[g + b - addr];
+            }
+            rec.storeMask |= store_mask;
+        };
+
         // Buffer or write through.
-        bool buffered = false;
-        if (row) {
-            TaskRecord *own = findRecord(*row, seq, false);
-            if (own && own->storeMask) {
-                // Keep ordering with our earlier speculative bytes.
-                for (unsigned b = lo; b < hi; ++b) {
-                    own->bytes[b] = bytes[g + b - addr];
-                    own->storeMask |= std::uint8_t(1u << b);
-                }
-                buffered = true;
+        TaskRecord *own = row ? findRecord(*row, seq, false) : nullptr;
+        if (own && own->storeMask) {
+            // Keep ordering with our earlier speculative bytes.
+            buffer(*own);
+        } else if (is_head) {
+            // Non-speculative: write committed memory directly.
+            for (unsigned b = lo; b < hi; ++b)
+                mem_.write(g + b, bytes[g + b - addr], 1);
+        } else {
+            if (!row) {
+                panicIf(bank.live() >= params_.entriesPerBank,
+                        "ARB bank overflow on store; call "
+                        "hasSpaceFor first");
+                row = &bank.allocate(g);
             }
-        }
-        if (!buffered) {
-            if (is_head) {
-                // Non-speculative: write committed memory directly.
-                for (unsigned b = lo; b < hi; ++b)
-                    mem_.write(g + b, bytes[g + b - addr], 1);
-            } else {
-                if (!row) {
-                    panicIf(bank.live() >= params_.entriesPerBank,
-                            "ARB bank overflow on store; call "
-                            "hasSpaceFor first");
-                    row = &bank.allocate(g);
-                }
-                TaskRecord *rec = findRecord(*row, seq, true);
-                for (unsigned b = lo; b < hi; ++b) {
-                    rec->bytes[b] = bytes[g + b - addr];
-                    rec->storeMask |= std::uint8_t(1u << b);
-                }
-            }
+            buffer(*findRecord(*row, seq, true));
         }
     });
 

@@ -71,9 +71,10 @@ regName(RegIndex reg)
 {
     if (reg < 0 || reg >= kNumRegs)
         return "$?";
-    if (reg < kNumIntRegs)
-        return "$" + std::to_string(int(reg));
-    return "$f" + std::to_string(int(reg) - kNumIntRegs);
+    const bool fp = reg >= kNumIntRegs;
+    std::string name = fp ? "$f" : "$";
+    name += std::to_string(fp ? int(reg) - kNumIntRegs : int(reg));
+    return name;
 }
 
 } // namespace msim::isa

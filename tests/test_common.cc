@@ -122,8 +122,11 @@ TEST(Stats, GroupReferencesStayValidAcrossGrowth)
     StatGroup &first = reg.group("g0");
     first.counter("x") += 1;
     // Create many more groups; the first reference must stay valid.
-    for (int i = 1; i < 100; ++i)
-        reg.group("g" + std::to_string(i)).counter("y") += 1;
+    for (int i = 1; i < 100; ++i) {
+        std::string name = "g";
+        name += std::to_string(i);
+        reg.group(name).counter("y") += 1;
+    }
     first.counter("x") += 1;
     EXPECT_EQ(reg.group("g0").get("x"), 2u);
 }

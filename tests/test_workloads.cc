@@ -30,7 +30,9 @@ shapeName(const Shape &s)
 {
     std::string name = s.units == 0 ? "scalar"
                                     : std::to_string(s.units) + "unit";
-    name += "_" + std::to_string(s.width) + "way";
+    name += '_';
+    name += std::to_string(s.width);
+    name += "way";
     name += s.ooo ? "_ooo" : "_ino";
     return name;
 }

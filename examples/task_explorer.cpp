@@ -133,20 +133,19 @@ main(int argc, char **argv)
         }
         RunResult r;
         std::string stats_text;
+        auto run = [&](auto &proc) {
+            if (w.init)
+                w.init(proc.memory(), prog);
+            proc.setInput(w.input);
+            r = proc.run(spec.maxCycles);
+            stats_text = proc.stats().format();
+        };
         if (spec.multiscalar) {
             MultiscalarProcessor proc(prog, spec.ms);
-            if (w.init)
-                w.init(proc.memory(), prog);
-            proc.setInput(w.input);
-            r = proc.run(spec.maxCycles);
-            stats_text = proc.stats().format();
+            run(proc);
         } else {
             ScalarProcessor proc(prog, spec.scalar);
-            if (w.init)
-                w.init(proc.memory(), prog);
-            proc.setInput(w.input);
-            r = proc.run(spec.maxCycles);
-            stats_text = proc.stats().format();
+            run(proc);
         }
 
         std::printf("workload        %s\n", name.c_str());

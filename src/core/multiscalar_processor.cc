@@ -12,48 +12,44 @@ namespace msim {
 
 MultiscalarProcessor::MultiscalarProcessor(const Program &program,
                                            const MsConfig &config)
-    : program_(program), config_(config),
-      coreStats_{stats_.group("core")}, acct_(config.numUnits)
+    : Machine(program, config.numUnits,
+              [this](Addr a) {
+                  // Head-visible memory: committed state plus the
+                  // head task's own buffered stores.
+                  if (numActive_ > 0) {
+                      return std::uint8_t(arb_->load(
+                          seqOf(unitAt(0)), a, 1, /*is_head=*/true));
+                  }
+                  return std::uint8_t(mem_.read(a, 1));
+              }),
+      config_(config), coreStats_{stats_.group("core")}
 {
-    config.validate();
-    mem_.loadProgram(program);
-    if (config.trace.enabled) {
-        tracer_ = std::make_unique<Tracer>(config.trace);
-        tracer_->threadName(kTidSequencer, "sequencer");
-        tracer_->threadName(kTidBus, "bus");
-        tracer_->threadName(kTidRing, "ring");
-        tracer_->threadName(kTidArb, "arb");
+    buildMemorySide(config);
+    Tracer *tracer = tracer_.get();
+    if (tracer) {
+        tracer->threadName(kTidSequencer, "sequencer");
+        tracer->threadName(kTidBus, "bus");
+        tracer->threadName(kTidRing, "ring");
+        tracer->threadName(kTidArb, "arb");
         for (unsigned u = 0; u < config.numUnits; ++u) {
-            tracer_->threadName(u, "pu" + std::to_string(u));
-            tracer_->threadName(kTidIcacheBase + u,
-                                "icache" + std::to_string(u));
+            tracer->threadName(u, "pu" + std::to_string(u));
+            tracer->threadName(kTidIcacheBase + u,
+                               "icache" + std::to_string(u));
         }
         for (unsigned b = 0; b < config.effectiveBanks(); ++b) {
-            tracer_->threadName(kTidDcacheBase + b,
-                                "dcache" + std::to_string(b));
+            tracer->threadName(kTidDcacheBase + b,
+                               "dcache" + std::to_string(b));
         }
-        if (config.l2)
-            tracer_->threadName(kTidL2Base, "l2");
-    }
-    Tracer *tracer = tracer_.get();
-    bus_ = std::make_unique<MemoryBus>(stats_.group("bus"), config.bus,
-                                       tracer);
-    MemLevel *l1next;
-    if (config.l2) {
-        l2_ = std::make_unique<L2Cache>(stats_.group("l2"), *bus_,
-                                        *config.l2, tracer);
-        l1next = l2_.get();
-    } else {
-        busLevel_ = std::make_unique<BusMemLevel>(*bus_);
-        l1next = busLevel_.get();
+        if (l2_)
+            tracer->threadName(kTidL2Base, "l2");
     }
     for (unsigned u = 0; u < config.numUnits; ++u) {
         icaches_.push_back(std::make_unique<Cache>(
-            stats_.group("icache" + std::to_string(u)), *l1next,
+            stats_.group("icache" + std::to_string(u)), l1Next(),
             config.icache, tracer, kTidIcacheBase + u));
     }
     dcache_ = std::make_unique<BankedDataCache>(
-        stats_, *l1next,
+        stats_, l1Next(),
         BankedDataCache::Params{config.effectiveBanks(),
                                 config.bankSizeBytes, config.blockBytes,
                                 config.dcacheHitLatency},
@@ -83,38 +79,18 @@ MultiscalarProcessor::MultiscalarProcessor(const Program &program,
     ras_ = std::make_unique<ReturnStack>(config.rasEntries);
     descCache_ = std::make_unique<DescriptorCache>(
         stats_.group("desccache"), *bus_, config.descCacheEntries);
-    syscalls_ = std::make_unique<SyscallHandler>(
-        [this](Addr a) {
-            // Head-visible memory: committed state plus the head
-            // task's own buffered stores.
-            if (numActive_ > 0) {
-                return std::uint8_t(arb_->load(seqOf(unitAt(0)), a, 1,
-                                               /*is_head=*/true));
-            }
-            return std::uint8_t(mem_.read(a, 1));
-        },
-        program.heapStart);
     for (unsigned u = 0; u < config.numUnits; ++u) {
         units_.push_back(std::make_unique<ProcessingUnit>(
             u, config.pu, *this, stats_.group("pu" + std::to_string(u)),
             &acct_, tracer));
     }
     taskInfo_.resize(config.numUnits);
-    // Tracing wants a sample of every cycle, so skipping is reserved
-    // for untraced runs (where the hot loop must stay lean anyway).
-    fastForward_ = config.fastForward && !tracer_;
     if (config.writeSetOracle || config.memDepOracle)
         oracle_ = std::make_unique<analysis::AnnotationVerifier>(program);
     if (config.memDepOracle) {
         memDep_ =
             std::make_unique<analysis::MemDepAnalysis>(program, *oracle_);
     }
-}
-
-void
-MultiscalarProcessor::setInput(std::deque<std::int32_t> input)
-{
-    syscalls_->setInput(std::move(input));
 }
 
 unsigned
@@ -144,12 +120,6 @@ MultiscalarProcessor::seqOf(unsigned unit) const
 // --------------------------------------------------------------------
 // PuContext implementation
 // --------------------------------------------------------------------
-
-const isa::Instruction *
-MultiscalarProcessor::instrAt(Addr pc)
-{
-    return program_.instrAt(pc);
-}
 
 Cycle
 MultiscalarProcessor::icacheAccess(unsigned unit, Cycle now, Addr pc)
@@ -248,13 +218,6 @@ bool
 MultiscalarProcessor::syscallAllowed(unsigned unit)
 {
     return unitIsHead(unit);
-}
-
-isa::RegValue
-MultiscalarProcessor::doSyscall(unsigned, isa::RegValue v0,
-                                isa::RegValue a0, isa::RegValue a1)
-{
-    return syscalls_->execute(v0, a0, a1);
 }
 
 void
@@ -591,7 +554,7 @@ MultiscalarProcessor::stepCycle(Cycle now)
 {
     ringPhase(now);
     unitsPhase(now);
-    if (syscalls_->exited())
+    if (syscalls_.exited())
         return true;
     deferredPhase(now);
     retirePhase(now);
@@ -684,8 +647,7 @@ MultiscalarProcessor::dumpState(std::ostream &os) const
 RunResult
 MultiscalarProcessor::run(Cycle max_cycles)
 {
-    panicIf(started_, "MultiscalarProcessor::run may only be called once");
-    started_ = true;
+    startRun("MultiscalarProcessor");
 
     fatalIf(!program_.taskAt(program_.entry),
             "multiscalar program needs a task descriptor at the entry "

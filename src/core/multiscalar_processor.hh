@@ -34,7 +34,6 @@
 #ifndef MSIM_CORE_MULTISCALAR_PROCESSOR_HH
 #define MSIM_CORE_MULTISCALAR_PROCESSOR_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -44,47 +43,30 @@
 #include "analysis/verifier.hh"
 #include "arb/arb.hh"
 #include "common/stats.hh"
+#include "core/machine.hh"
 #include "core/ms_config.hh"
 #include "core/run_result.hh"
 #include "mem/banked_dcache.hh"
-#include "mem/bus.hh"
 #include "mem/cache.hh"
-#include "mem/l2_cache.hh"
-#include "mem/main_memory.hh"
-#include "mem/mem_level.hh"
 #include "predict/descriptor_cache.hh"
 #include "predict/return_stack.hh"
 #include "predict/task_predictor.hh"
 #include "program/program.hh"
 #include "pu/processing_unit.hh"
-#include "pu/pu_context.hh"
 #include "ring/forward_ring.hh"
-#include "sim/syscalls.hh"
-#include "trace/cycle_accounting.hh"
-#include "trace/tracer.hh"
 
 namespace msim {
 
 /** The multiscalar machine. */
-class MultiscalarProcessor : public PuContext
+class MultiscalarProcessor : public Machine
 {
   public:
     MultiscalarProcessor(const Program &program, const MsConfig &config);
 
-    /** Provide the integer input stream for syscall 5. */
-    void setInput(std::deque<std::int32_t> input);
-
     /** Run to the exit syscall (or @p max_cycles). */
     RunResult run(Cycle max_cycles = 1'000'000'000);
 
-    /** @return direct access to the functional memory (test setup). */
-    MainMemory &memory() { return mem_; }
-
-    /** @return the collected statistics. */
-    const StatRegistry &stats() const { return stats_; }
-
     // --- PuContext ---------------------------------------------------
-    const isa::Instruction *instrAt(Addr pc) override;
     Cycle icacheAccess(unsigned unit, Cycle now, Addr pc) override;
     Cycle dcacheAccess(unsigned unit, Cycle now, Addr addr,
                        bool write) override;
@@ -97,8 +79,6 @@ class MultiscalarProcessor : public PuContext
     void forwardReg(unsigned unit, RegIndex reg,
                     isa::RegValue value) override;
     bool syscallAllowed(unsigned unit) override;
-    isa::RegValue doSyscall(unsigned unit, isa::RegValue v0,
-                            isa::RegValue a0, isa::RegValue a1) override;
     void taskExited(unsigned unit, Addr next_task) override;
 
   private:
@@ -181,7 +161,6 @@ class MultiscalarProcessor : public PuContext
     void validateExit(const ExitEvent &event, Cycle now);
 
     // --- members ------------------------------------------------------
-    const Program &program_;
     MsConfig config_;
     /** The core's counters, bound once in its "core" stat group. */
     struct CoreCounters
@@ -194,16 +173,7 @@ class MultiscalarProcessor : public PuContext
         std::uint64_t &squashArbFull = group.counter("squash_arbfull");
     };
 
-    StatRegistry stats_;
     CoreCounters coreStats_;
-    /** Only constructed when config.trace.enabled. */
-    std::unique_ptr<Tracer> tracer_;
-    CycleAccounting acct_;
-    MainMemory mem_;
-    std::unique_ptr<MemoryBus> bus_;
-    /** The L1s' next level: the shared L2, or the bus adapter. */
-    std::unique_ptr<L2Cache> l2_;
-    std::unique_ptr<BusMemLevel> busLevel_;
     std::vector<std::unique_ptr<Cache>> icaches_;
     std::unique_ptr<BankedDataCache> dcache_;
     std::unique_ptr<Arb> arb_;
@@ -211,7 +181,6 @@ class MultiscalarProcessor : public PuContext
     std::unique_ptr<TaskPredictor> predictor_;
     std::unique_ptr<ReturnStack> ras_;
     std::unique_ptr<DescriptorCache> descCache_;
-    std::unique_ptr<SyscallHandler> syscalls_;
     /** Static per-task facts backing the write-set oracle. */
     std::unique_ptr<analysis::AnnotationVerifier> oracle_;
     /** Static conflict prediction backing the mem-dep oracle. */
@@ -248,16 +217,6 @@ class MultiscalarProcessor : public PuContext
     std::vector<ExitEvent> exitEvents_;
     std::optional<TaskSeq> pendingViolation_;
     bool arbFullEvent_ = false;
-
-    /** Accumulating results. */
-    RunResult result_;
-    bool started_ = false;
-
-    /**
-     * Cycle-exact fast-forward enabled for this run (config flag,
-     * minus tracing — skipping would drop per-cycle trace samples).
-     */
-    bool fastForward_ = false;
 };
 
 } // namespace msim

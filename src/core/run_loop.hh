@@ -6,9 +6,11 @@
  * clock, the no-progress watchdog, the quiescence fast-forward,
  * closing the cycle accounting and the RunResult fill. It reaches the
  * core through members and hooks resolved at compile time (no
- * per-cycle virtual call). A Core befriends runLoop and provides
- * tracer_, acct_, result_, syscalls_, stats_, l2_ (may be null),
- * fastForward_, kName (the watchdog's name for it), and:
+ * per-cycle virtual call). A Core derives from Machine
+ * (core/machine.hh), whose tracer_, acct_, result_, syscalls_,
+ * stats_, l2_ (may be null) and fastForward_ the loop reads; it
+ * befriends runLoop and provides kName (the watchdog's name for it)
+ * and:
  *
  *   bool stepCycle(now)       tick one cycle; true = the program exited
  *   progressCount()           grows whenever any work gets done
@@ -119,9 +121,9 @@ runLoop(Core &core, Cycle max_cycles)
 
     core.foldTasks(cycles_done);
     result.cycles = cycles_done;
-    result.exited = core.syscalls_->exited();
+    result.exited = core.syscalls_.exited();
     result.hitMaxCycles = !result.exited;
-    result.output = core.syscalls_->output();
+    result.output = core.syscalls_.output();
     result.accounting = core.acct_.finish(cycles_done);
     exportStats(result.accounting, core.stats_.group("cycles"));
     if (tracer) {

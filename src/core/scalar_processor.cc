@@ -8,35 +8,23 @@ namespace msim {
 
 ScalarProcessor::ScalarProcessor(const Program &program,
                                  const ScalarConfig &config)
-    : program_(program), config_(config), acct_(1)
+    : Machine(program, 1,
+              [this](Addr a) { return std::uint8_t(mem_.read(a, 1)); })
 {
-    config.validate();
-    mem_.loadProgram(program);
-    if (config.trace.enabled) {
-        tracer_ = std::make_unique<Tracer>(config.trace);
-        tracer_->threadName(0, "pu0");
-        tracer_->threadName(kTidBus, "bus");
-        tracer_->threadName(kTidIcacheBase, "icache");
-        tracer_->threadName(kTidDcacheBase, "dcache");
-    }
+    buildMemorySide(config);
     Tracer *tracer = tracer_.get();
-    bus_ = std::make_unique<MemoryBus>(stats_.group("bus"), config.bus,
-                                       tracer);
-    MemLevel *l1next;
-    if (config.l2) {
-        l2_ = std::make_unique<L2Cache>(stats_.group("l2"), *bus_,
-                                        *config.l2, tracer);
-        l1next = l2_.get();
-        if (tracer_)
-            tracer_->threadName(kTidL2Base, "l2");
-    } else {
-        busLevel_ = std::make_unique<BusMemLevel>(*bus_);
-        l1next = busLevel_.get();
+    if (tracer) {
+        tracer->threadName(0, "pu0");
+        tracer->threadName(kTidBus, "bus");
+        tracer->threadName(kTidIcacheBase, "icache");
+        tracer->threadName(kTidDcacheBase, "dcache");
+        if (l2_)
+            tracer->threadName(kTidL2Base, "l2");
     }
-    icache_ = std::make_unique<Cache>(stats_.group("icache"), *l1next,
+    icache_ = std::make_unique<Cache>(stats_.group("icache"), l1Next(),
                                       config.icache, tracer,
                                       kTidIcacheBase);
-    dcache_ = std::make_unique<Cache>(stats_.group("dcache"), *l1next,
+    dcache_ = std::make_unique<Cache>(stats_.group("dcache"), l1Next(),
                                       config.dcache, tracer,
                                       kTidDcacheBase);
     if (l2_) {
@@ -48,26 +36,15 @@ ScalarProcessor::ScalarProcessor(const Program &program,
             return d0 || d1;
         });
     }
-    syscalls_ = std::make_unique<SyscallHandler>(
-        [this](Addr a) { return std::uint8_t(mem_.read(a, 1)); },
-        program.heapStart);
     unit_ = std::make_unique<ProcessingUnit>(0, config.pu, *this,
                                              stats_.group("pu0"),
                                              &acct_, tracer);
-    fastForward_ = config.fastForward && !tracer_;
-}
-
-void
-ScalarProcessor::setInput(std::deque<std::int32_t> input)
-{
-    syscalls_->setInput(std::move(input));
 }
 
 RunResult
 ScalarProcessor::run(Cycle max_cycles)
 {
-    panicIf(started_, "ScalarProcessor::run may only be called once");
-    started_ = true;
+    startRun("ScalarProcessor");
 
     std::array<isa::RegValue, kNumRegs> init{};
     init[size_t(isa::kRegSp)] = isa::RegValue::fromWord(kStackTop);
@@ -80,12 +57,6 @@ void
 ScalarProcessor::dumpState(std::ostream &os) const
 {
     dumpUnit(os, *unit_, program_.entry);
-}
-
-const isa::Instruction *
-ScalarProcessor::instrAt(Addr pc)
-{
-    return program_.instrAt(pc);
 }
 
 Cycle
@@ -130,13 +101,6 @@ bool
 ScalarProcessor::syscallAllowed(unsigned)
 {
     return true;
-}
-
-isa::RegValue
-ScalarProcessor::doSyscall(unsigned, isa::RegValue v0, isa::RegValue a0,
-                           isa::RegValue a1)
-{
-    return syscalls_->execute(v0, a0, a1);
 }
 
 void

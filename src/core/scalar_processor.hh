@@ -11,24 +11,18 @@
 #ifndef MSIM_CORE_SCALAR_PROCESSOR_HH
 #define MSIM_CORE_SCALAR_PROCESSOR_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <ostream>
 
-#include "common/stats.hh"
+#include "core/machine.hh"
 #include "core/run_result.hh"
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "mem/l2_cache.hh"
-#include "mem/main_memory.hh"
-#include "mem/mem_level.hh"
 #include "program/program.hh"
 #include "pu/processing_unit.hh"
-#include "pu/pu_context.hh"
-#include "sim/syscalls.hh"
-#include "trace/cycle_accounting.hh"
-#include "trace/tracer.hh"
+#include "trace/trace_config.hh"
 
 namespace msim {
 
@@ -62,25 +56,15 @@ struct ScalarConfig
 };
 
 /** The scalar baseline machine. */
-class ScalarProcessor : public PuContext
+class ScalarProcessor : public Machine
 {
   public:
     ScalarProcessor(const Program &program, const ScalarConfig &config);
 
-    /** Provide the integer input stream for syscall 5. */
-    void setInput(std::deque<std::int32_t> input);
-
     /** Run to the exit syscall (or @p max_cycles). */
     RunResult run(Cycle max_cycles = 1'000'000'000);
 
-    /** @return direct access to the functional memory (test setup). */
-    MainMemory &memory() { return mem_; }
-
-    /** @return the collected statistics. */
-    const StatRegistry &stats() const { return stats_; }
-
     // --- PuContext ---------------------------------------------------
-    const isa::Instruction *instrAt(Addr pc) override;
     Cycle icacheAccess(unsigned unit, Cycle now, Addr pc) override;
     Cycle dcacheAccess(unsigned unit, Cycle now, Addr addr,
                        bool write) override;
@@ -93,8 +77,6 @@ class ScalarProcessor : public PuContext
     void forwardReg(unsigned unit, RegIndex reg,
                     isa::RegValue value) override;
     bool syscallAllowed(unsigned unit) override;
-    isa::RegValue doSyscall(unsigned unit, isa::RegValue v0,
-                            isa::RegValue a0, isa::RegValue a1) override;
     void taskExited(unsigned unit, Addr next_task) override;
 
   private:
@@ -110,7 +92,7 @@ class ScalarProcessor : public PuContext
     stepCycle(Cycle now)
     {
         unit_->tick(now);
-        return syscalls_->exited();
+        return syscalls_.exited();
     }
     std::uint64_t progressCount() const { return unit_->taskInstructions(); }
     bool quiescent() const { return unit_->quiescentLastTick(); }
@@ -128,25 +110,9 @@ class ScalarProcessor : public PuContext
     }
     void dumpState(std::ostream &os) const;
 
-    const Program &program_;
-    ScalarConfig config_;
-    StatRegistry stats_;
-    /** Only constructed when config.trace.enabled. */
-    std::unique_ptr<Tracer> tracer_;
-    CycleAccounting acct_;
-    MainMemory mem_;
-    std::unique_ptr<MemoryBus> bus_;
-    /** The L1s' next level: the shared L2, or the bus adapter. */
-    std::unique_ptr<L2Cache> l2_;
-    std::unique_ptr<BusMemLevel> busLevel_;
     std::unique_ptr<Cache> icache_;
     std::unique_ptr<Cache> dcache_;
-    std::unique_ptr<SyscallHandler> syscalls_;
     std::unique_ptr<ProcessingUnit> unit_;
-    RunResult result_;
-    bool started_ = false;
-    /** Cycle-exact fast-forward (see MsConfig::fastForward). */
-    bool fastForward_ = false;
 };
 
 } // namespace msim

@@ -89,9 +89,6 @@ class SweepScheduler
     /** Worker threads this scheduler will use. */
     unsigned jobs() const { return jobs_; }
 
-    /** The cache shared by this scheduler's sweeps. */
-    ProgramCache &programCache() { return cache_; }
-
     /**
      * Parse a job count: the whole string must be a positive decimal
      * integer that fits an unsigned ("-1", "2x", "0", "", " 3" do

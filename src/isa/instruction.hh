@@ -96,9 +96,6 @@ struct Instruction
                op == Opcode::kJr || op == Opcode::kJalr;
     }
 
-    /** @return true when this instruction writes a register. */
-    bool writesReg() const { return rd != kNoReg; }
-
     /** Render in assembly syntax (tags appended as !f/!s suffixes). */
     std::string toString() const;
 };

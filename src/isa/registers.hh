@@ -50,13 +50,6 @@ fpReg(int n)
     return RegIndex(kNumIntRegs + n);
 }
 
-/** @return true when @p reg is a floating point register index. */
-constexpr bool
-isFpReg(RegIndex reg)
-{
-    return reg >= kNumIntRegs && reg < kNumRegs;
-}
-
 /**
  * Parse a register name ("$5", "$zero", "$sp", "$f12") into a unified
  * register index.

@@ -39,17 +39,19 @@ class BankedDataCache
         : params_(params), bankBusyUntil_(params.numBanks, 0),
           tracer_(tracer)
     {
-        init(stats, next);
-    }
-
-    /** Convenience: banks wired straight to the memory bus. */
-    BankedDataCache(StatRegistry &stats, MemoryBus &bus,
-                    const Params &params, Tracer *tracer = nullptr)
-        : ownedNext_(std::make_unique<BusMemLevel>(bus)),
-          params_(params), bankBusyUntil_(params.numBanks, 0),
-          tracer_(tracer)
-    {
-        init(stats, *ownedNext_);
+        fatalIf(params_.numBanks == 0, "need at least one data bank");
+        for (unsigned b = 0; b < params_.numBanks; ++b) {
+            auto &group = stats.group("dcache" + std::to_string(b));
+            banks_.push_back(std::make_unique<Cache>(
+                group, next,
+                Cache::Params{params_.bankSizeBytes,
+                              params_.blockBytes,
+                              params_.hitLatency},
+                tracer_, kTidDcacheBase + b));
+        }
+        StatGroup &xbar = stats.group("crossbar");
+        conflictCycles_ = &xbar.counter("conflictCycles");
+        accesses_ = &xbar.counter("accesses");
     }
 
     /** @return the bank index an address maps to (block interleave). */
@@ -115,41 +117,11 @@ class BankedDataCache
             bankLocalAddr(addr));
     }
 
-    /** Reset crossbar arbitration state (not tags or statistics). */
-    void
-    resetTiming()
-    {
-        std::fill(bankBusyUntil_.begin(), bankBusyUntil_.end(), 0);
-    }
-
-    unsigned numBanks() const { return params_.numBanks; }
-    unsigned hitLatency() const { return params_.hitLatency; }
-
   private:
-    void
-    init(StatRegistry &stats, MemLevel &next)
-    {
-        fatalIf(params_.numBanks == 0, "need at least one data bank");
-        for (unsigned b = 0; b < params_.numBanks; ++b) {
-            auto &group = stats.group("dcache" + std::to_string(b));
-            banks_.push_back(std::make_unique<Cache>(
-                group, next,
-                Cache::Params{params_.bankSizeBytes,
-                              params_.blockBytes,
-                              params_.hitLatency},
-                tracer_, kTidDcacheBase + b));
-        }
-        StatGroup &xbar = stats.group("crossbar");
-        conflictCycles_ = &xbar.counter("conflictCycles");
-        accesses_ = &xbar.counter("accesses");
-    }
-
-    /** Only set by the MemoryBus convenience constructor. */
-    std::unique_ptr<MemLevel> ownedNext_;
     Params params_;
     std::vector<std::unique_ptr<Cache>> banks_;
     std::vector<Cycle> bankBusyUntil_;
-    /** Crossbar counters, bound once in init(). */
+    /** Crossbar counters, bound once at construction. */
     std::uint64_t *conflictCycles_ = nullptr;
     std::uint64_t *accesses_ = nullptr;
     Tracer *tracer_ = nullptr;

@@ -8,6 +8,9 @@
  * additional 4 words." Requests are serviced in arrival order; a
  * request arriving while the bus is busy queues behind it ("plus any
  * bus contention" in the cache miss penalty).
+ *
+ * The bus is itself a MemLevel: an L1 without an L2 below it sends
+ * its block fetches and victim writebacks here directly.
  */
 
 #ifndef MSIM_MEM_BUS_HH
@@ -15,12 +18,13 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/mem_level.hh"
 #include "trace/tracer.hh"
 
 namespace msim {
 
 /** Timing model of the shared memory bus. */
-class MemoryBus
+class MemoryBus final : public MemLevel
 {
   public:
     struct Params
@@ -70,11 +74,18 @@ class MemoryBus
         return done;
     }
 
-    /** @return the cycle at which the bus next becomes free. */
-    Cycle freeAt() const { return busFreeAt_; }
+    // --- MemLevel: a block transfer is one request -------------------
+    Cycle
+    fetchBlock(Cycle now, Addr, unsigned words) override
+    {
+        return request(now, words);
+    }
 
-    /** Reset the timing state (not the statistics). */
-    void reset() { busFreeAt_ = 0; }
+    Cycle
+    writebackBlock(Cycle now, Addr, unsigned words) override
+    {
+        return request(now, words);
+    }
 
   private:
     /** Counters bound once in the bus's stat group. */

@@ -21,13 +21,11 @@
 #ifndef MSIM_MEM_CACHE_HH
 #define MSIM_MEM_CACHE_HH
 
-#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/bus.hh"
 #include "mem/mem_level.hh"
 #include "trace/tracer.hh"
 
@@ -50,16 +48,6 @@ class Cache
           Tracer *tracer = nullptr, std::uint32_t trace_tid = 0)
         : stats_{stats}, next_(&next), params_(params), tracer_(tracer),
           traceTid_(trace_tid)
-    {
-        checkGeometry();
-    }
-
-    /** Convenience: a cache wired straight to the memory bus. */
-    Cache(StatGroup &stats, MemoryBus &bus, const Params &params,
-          Tracer *tracer = nullptr, std::uint32_t trace_tid = 0)
-        : ownedNext_(std::make_unique<BusMemLevel>(bus)),
-          stats_{stats}, next_(ownedNext_.get()), params_(params),
-          tracer_(tracer), traceTid_(trace_tid)
     {
         checkGeometry();
     }
@@ -147,17 +135,6 @@ class Cache
         return dirty;
     }
 
-    /** Invalidate all lines (drops dirty data; timing model only). */
-    void
-    invalidateAll()
-    {
-        for (auto &line : lines_)
-            line = Line{};
-    }
-
-    unsigned hitLatency() const { return params_.hitLatency; }
-    size_t blockBytes() const { return params_.blockBytes; }
-
   private:
     struct Line
     {
@@ -191,8 +168,6 @@ class Cache
         std::uint64_t &writebacks = group.counter("writebacks");
     };
 
-    /** Only set by the MemoryBus convenience constructor. */
-    std::unique_ptr<MemLevel> ownedNext_;
     Counters stats_;
     MemLevel *next_;
     Params params_;

@@ -99,9 +99,6 @@ class L2Cache : public MemLevel
     /** @return the number of valid lines (all banks). */
     std::size_t validLines() const;
 
-    unsigned hitLatency() const { return params_.hitLatency; }
-    const L2Params &params() const { return params_; }
-
   private:
     struct Way
     {

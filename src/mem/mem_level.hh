@@ -4,19 +4,16 @@
  *
  * The memory system is a stack of call-time timing models: an L1
  * miss asks the next level for a block and gets back the cycle the
- * data arrives. Historically the next level was always the MemoryBus;
- * the optional shared L2 (src/mem/l2_cache.hh) slots in behind the
- * same interface. BusMemLevel is the degenerate adapter that turns
- * the interface calls into the exact MemoryBus::request sequence the
- * L1s issued before the L2 existed, so an L2-disabled machine is
- * bit-identical to the historical one.
+ * data arrives. The next level is the optional shared L2
+ * (src/mem/l2_cache.hh) or, without one, the MemoryBus itself
+ * (src/mem/bus.hh), which turns each block transfer into one bus
+ * request.
  */
 
 #ifndef MSIM_MEM_MEM_LEVEL_HH
 #define MSIM_MEM_MEM_LEVEL_HH
 
 #include "common/types.hh"
-#include "mem/bus.hh"
 
 namespace msim {
 
@@ -71,32 +68,6 @@ class MemLevel
         (void)now;
         return kCycleNever;
     }
-};
-
-/**
- * The no-L2 adapter: forwards fetches and writebacks straight to the
- * shared memory bus with the same call order and arguments the L1s
- * used before the MemLevel seam existed (bit-identical timing).
- */
-class BusMemLevel : public MemLevel
-{
-  public:
-    explicit BusMemLevel(MemoryBus &bus) : bus_(bus) {}
-
-    Cycle
-    fetchBlock(Cycle now, Addr, unsigned words) override
-    {
-        return bus_.request(now, words);
-    }
-
-    Cycle
-    writebackBlock(Cycle now, Addr, unsigned words) override
-    {
-        return bus_.request(now, words);
-    }
-
-  private:
-    MemoryBus &bus_;
 };
 
 } // namespace msim

@@ -119,9 +119,6 @@ class Program
     {
         return textBase + Addr(code.size()) * kInstrBytes;
     }
-
-    /** Static instruction count. */
-    size_t numInstructions() const { return code.size(); }
 };
 
 } // namespace msim

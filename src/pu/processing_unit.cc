@@ -60,7 +60,6 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     seq_ = seq;
     createMask_ = create_mask;
     forwardedMask_ = RegMask();
-    exitTarget_ = 0;
     taskInstructions_ = 0;
     for (int r = 0; r < kNumRegs; ++r) {
         RegState &st = regs_[size_t(r)];
@@ -267,7 +266,6 @@ ProcessingUnit::exitTask(Addr successor)
 {
     panicIf(status_ != Status::kRunning, "task exit while not running");
     status_ = Status::kExited;
-    exitTarget_ = successor;
     fetchEnabled_ = false;
     awaitRedirect_ = false;
     fetchBuf_.clear();

@@ -184,8 +184,6 @@ class ProcessingUnit
     /** Current register values (64), e.g. to seed a successor. */
     std::array<isa::RegValue, kNumRegs> regValues() const;
 
-    /** Actual successor address; valid once status >= kExited. */
-    Addr exitTarget() const { return exitTarget_; }
     bool hasExited() const
     {
         return status_ == Status::kExited || status_ == Status::kDone;
@@ -311,7 +309,6 @@ class ProcessingUnit
     TaskSeq seq_ = 0;
     RegMask createMask_;
     RegMask forwardedMask_;
-    Addr exitTarget_ = 0;
     std::uint64_t taskInstructions_ = 0;
 
     // --- write-set oracle ---------------------------------------------

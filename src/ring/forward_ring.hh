@@ -141,7 +141,6 @@ class ForwardRing
 
     unsigned numUnits() const { return numUnits_; }
     unsigned width() const { return width_; }
-    unsigned hopLatency() const { return hopLatency_; }
 
   private:
     struct Hop

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "asm/assembler.hh"
@@ -17,6 +19,7 @@
 #include "pu/processing_unit.hh"
 #include "pu/pu_context.hh"
 #include "trace/cycle_accounting.hh"
+#include "trace/tracer.hh"
 
 namespace msim {
 namespace {
@@ -38,6 +41,7 @@ class MockContext : public PuContext
     Cycle
     icacheAccess(unsigned, Cycle now, Addr) override
     {
+        ++icacheAccesses;
         return now + 1;
     }
 
@@ -110,6 +114,7 @@ class MockContext : public PuContext
     bool allowSyscall = true;
     unsigned storeCount = 0;
     unsigned syscallCount = 0;
+    unsigned icacheAccesses = 0;
 };
 
 Program
@@ -835,6 +840,189 @@ main:   li   $8, 1
     rig.ctx.memSpace = true;
     EXPECT_EQ(rig.tickUntilActive(50), 50u);
     EXPECT_EQ(rig.ctx.storeCount, 1u);
+}
+
+/*
+ * Queue edge cases: fetched-but-not-dispatched entries sit behind the
+ * issue window in the same unit, and every way of dropping or holding
+ * them back is pinned here to the cycle.
+ */
+
+/** A window of @p window entries behind a fetch buffer of @p fetch. */
+PuConfig
+queueConfig(unsigned window, unsigned fetch)
+{
+    PuConfig c;
+    c.windowSize = window;
+    c.fetchBufferSize = fetch;
+    return c;
+}
+
+/** Keeps the "window" value of every pu0.occupancy sample. */
+class OccupancySink : public TraceSink
+{
+  public:
+    void
+    write(const TraceEvent &e) override
+    {
+        if (e.name == "pu0.occupancy" && e.key1 == "window")
+            window.push_back(e.val1);
+    }
+
+    std::vector<std::uint64_t> window;
+};
+
+TEST(PuQueue, FullFetchBufferStopsFetch)
+{
+    // The head waits on $20 from the ring: the window fills to 16,
+    // the 2-entry fetch buffer behind it fills, and fetch stops.
+    std::string body = ".text\nmain:\n  addu $8, $20, 1\n";
+    for (int i = 0; i < 30; ++i)
+        body += "  addu $" + std::to_string(9 + (i % 8)) + ", $0, 1\n";
+    body += "  nop !s\n";
+    Rig rig(body, queueConfig(16, 2));
+    std::array<TaskSeq, kNumRegs> producers{};
+    producers[20] = 7;
+    rig.start(RegMask{}, RegMask{20}, producers);
+    const Cycle stalled = rig.tickUntilStalled(0);
+    EXPECT_EQ(stalled, 18u);
+    EXPECT_EQ(rig.ctx.icacheAccesses, 18u);
+    EXPECT_EQ(rig.pu.nextEventCycle(stalled), kCycleNever);
+    for (Cycle now = stalled + 1; now < 40; ++now)
+        rig.tick(now);
+    EXPECT_EQ(rig.ctx.icacheAccesses, 18u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 0u);
+    rig.pu.deliverForward(isa::intReg(20), RegValue::fromWord(100), 7);
+    EXPECT_EQ(rig.tickUntilDone(40), 72u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 32u);
+    EXPECT_EQ(rig.pu.regValues()[8].asWord(), 101u);
+}
+
+TEST(PuQueue, MispredictDropsFetchedEntries)
+{
+    // The forward bne is fetched as not taken. With a 2-entry window
+    // the wrong-path li's wait in the fetch buffer when it resolves.
+    Rig rig(R"(
+        .text
+main:   li   $8, 1
+        bne  $8, $0, SKIP
+        li   $9, 111
+        li   $11, 222
+        li   $12, 333
+        li   $13, 444
+SKIP:   li   $10, 5
+        nop  !s
+    )", queueConfig(2, 8));
+    rig.start();
+    EXPECT_EQ(rig.runUntilDone(), 8u);
+    EXPECT_EQ(rig.stats.group("pu0").get("branchMispredicts"), 1u);
+    EXPECT_EQ(rig.ctx.icacheAccesses, 6u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 4u);
+    for (int r : {9, 11, 12, 13})
+        EXPECT_EQ(rig.pu.regValues()[r].asWord(), 0u) << r;
+    EXPECT_EQ(rig.pu.regValues()[10].asWord(), 5u);
+}
+
+TEST(PuQueue, StopAlwaysExitDrainsOlderWork)
+{
+    // The nop !s completes and exits while the older div is still in
+    // flight; nothing past the stop point is ever fetched, and the
+    // unit is done only once the div has written back.
+    Rig rig(R"(
+        .text
+main:   li   $8, 40
+        li   $9, 5
+        div  $10, $8, $9
+        nop  !s
+        li   $11, 99
+        li   $12, 99
+    )", queueConfig(2, 8));
+    rig.start();
+    EXPECT_EQ(rig.runUntilDone(), 16u);
+    ASSERT_EQ(rig.ctx.exits.size(), 1u);
+    EXPECT_EQ(rig.ctx.exits[0], rig.ctx.prog_.entry + 4 * 4);
+    EXPECT_EQ(rig.ctx.icacheAccesses, 4u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 4u);
+    EXPECT_EQ(rig.pu.regValues()[10].asWord(), 8u);
+    EXPECT_EQ(rig.pu.regValues()[11].asWord(), 0u);
+}
+
+TEST(PuQueue, StopIfTakenExitDropsFetchedEntries)
+{
+    // Fetch runs on past the !st branch (not taken is assumed); the
+    // taken exit drops those entries from window and fetch buffer.
+    Rig rig(R"(
+        .text
+main:   li   $8, 1
+        bne  $8, $0, OUT !st
+        li   $9, 1
+        li   $10, 2
+        li   $11, 3
+        li   $12, 4
+OUT:    nop  !s
+    )", queueConfig(2, 8));
+    rig.start();
+    EXPECT_EQ(rig.runUntilDone(), 4u);
+    ASSERT_EQ(rig.ctx.exits.size(), 1u);
+    EXPECT_EQ(rig.ctx.exits[0], rig.ctx.prog_.symbols.at("OUT"));
+    EXPECT_EQ(rig.ctx.icacheAccesses, 4u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 2u);
+    EXPECT_EQ(rig.pu.regValues()[9].asWord(), 0u);
+}
+
+TEST(PuQueue, JrRedirectsFetch)
+{
+    // Fetch stops at the jr until it resolves, then resumes at the
+    // return address; the li after the jr is never fetched.
+    Rig rig(R"(
+        .text
+main:   li   $4, 7
+        jal  f
+        move $10, $2
+        nop  !s
+f:      addu $2, $4, $4
+        jr   $31
+        li   $11, 99
+    )", queueConfig(2, 8));
+    rig.start();
+    EXPECT_EQ(rig.runUntilDone(), 10u);
+    EXPECT_EQ(rig.ctx.icacheAccesses, 6u);
+    EXPECT_EQ(rig.pu.taskInstructions(), 6u);
+    EXPECT_EQ(rig.pu.regValues()[10].asWord(), 14u);
+    EXPECT_EQ(rig.pu.regValues()[11].asWord(), 0u);
+}
+
+TEST(PuQueue, OccupancyCountsTheWindowOnly)
+{
+    // A 4-entry window behind which 8 more entries are fetched: the
+    // occupancy counter reports the 4 dispatched entries, never the
+    // fetch buffer behind them.
+    std::string body = ".text\nmain:\n  addu $8, $20, 1\n";
+    for (int i = 0; i < 20; ++i)
+        body += "  addu $9, $0, 1\n";
+    body += "  nop !s\n";
+    StatRegistry stats;
+    MockContext ctx(assembleMs(body));
+    TraceConfig tc;
+    tc.enabled = true;
+    auto sink = std::make_unique<OccupancySink>();
+    OccupancySink *seen = sink.get();
+    Tracer tracer(tc, std::move(sink));
+    ProcessingUnit pu(0, queueConfig(4, 8), ctx, stats.group("pu0"),
+                      nullptr, &tracer);
+    std::array<RegValue, kNumRegs> regs{};
+    std::array<TaskSeq, kNumRegs> producers{};
+    producers[20] = 7;
+    pu.assignTask(1, ctx.prog_.entry, RegMask{}, RegMask{20},
+                  regs.data(), producers.data());
+    for (Cycle now = 0; now < 30; ++now)
+        pu.tick(now);
+    EXPECT_EQ(ctx.icacheAccesses, 12u);
+    ASSERT_EQ(seen->window.size(), 30u);
+    EXPECT_EQ(seen->window.back(), 4u);
+    EXPECT_EQ(*std::max_element(seen->window.begin(),
+                                seen->window.end()),
+              4u);
 }
 
 TEST(Pu, BadConfigsRejected)

@@ -1056,6 +1056,7 @@ Assembler::passTwo(Program &prog)
         prog.textBytes.push_back(std::uint8_t((word >> 8) & 0xff));
         prog.textBytes.push_back(std::uint8_t((word >> 16) & 0xff));
         prog.textBytes.push_back(std::uint8_t((word >> 24) & 0xff));
+        inst.predecode();
         prog.code.push_back(inst);
         prog.lineNos.push_back(pi.lineNo);
         pc += kInstrBytes;

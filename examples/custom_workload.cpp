@@ -127,9 +127,12 @@ main()
     assembler::AsmOptions sc_opts;
     sc_opts.multiscalar = false;
     Program sc_prog = assembler::assemble(kProgram, sc_opts);
+    // A budget some ten times what either machine needs: a program
+    // that loops fails in a second instead of spinning for minutes.
+    const Cycle budget = 1'000'000;
     ScalarProcessor scalar(sc_prog, ScalarConfig{});
     poke(scalar.memory(), sc_prog);
-    RunResult sr = scalar.run();
+    RunResult sr = scalar.run(budget);
     std::printf("scalar : %-12s cycles=%llu %s\n",
                 std::string(sr.output, 0, sr.output.find('\n')).c_str(),
                 (unsigned long long)sr.cycles,
@@ -142,7 +145,7 @@ main()
     cfg.numUnits = 8;
     MultiscalarProcessor ms(ms_prog, cfg);
     poke(ms.memory(), ms_prog);
-    RunResult mr = ms.run();
+    RunResult mr = ms.run(budget);
     std::printf("8-unit : %-12s cycles=%llu %s (%.2fx)\n",
                 std::string(mr.output, 0, mr.output.find('\n')).c_str(),
                 (unsigned long long)mr.cycles,

@@ -5,8 +5,8 @@
  * compare. This is the smallest complete tour of the public API:
  *
  *   assembler::assemble() -> Program
- *   MultiscalarProcessor(program, MsConfig).run() -> RunResult
- *   ScalarProcessor(program, ScalarConfig).run() -> RunResult
+ *   MultiscalarProcessor(program, MsConfig).run(max_cycles) -> RunResult
+ *   ScalarProcessor(program, ScalarConfig).run(max_cycles) -> RunResult
  *
  * The program sums f(i) over i in [0, 20000) where each iteration of
  * the loop is one task: the induction variable is forwarded at the
@@ -75,8 +75,11 @@ main()
     ms_opts.multiscalar = true;
     Program ms_prog = assembler::assemble(kProgram, ms_opts);
 
+    // A budget some ten times what either machine needs: a program
+    // that loops fails in a second instead of spinning for minutes.
+    const Cycle budget = 2'000'000;
     ScalarProcessor scalar(scalar_prog, ScalarConfig{});
-    RunResult sr = scalar.run();
+    RunResult sr = scalar.run(budget);
     std::printf("scalar      : output=%-12s cycles=%-9llu IPC=%.2f\n",
                 sr.output.c_str(), (unsigned long long)sr.cycles,
                 sr.ipc());
@@ -84,7 +87,7 @@ main()
     MsConfig cfg;
     cfg.numUnits = 4;
     MultiscalarProcessor ms(ms_prog, cfg);
-    RunResult mr = ms.run();
+    RunResult mr = ms.run(budget);
     std::printf("multiscalar : output=%-12s cycles=%-9llu IPC=%.2f\n",
                 mr.output.c_str(), (unsigned long long)mr.cycles,
                 mr.ipc());

@@ -63,8 +63,9 @@ class MultiscalarProcessor : public Machine
   public:
     MultiscalarProcessor(const Program &program, const MsConfig &config);
 
-    /** Run to the exit syscall (or @p max_cycles). */
-    RunResult run(Cycle max_cycles = 1'000'000'000);
+    /** Run to the exit syscall (or @p max_cycles). No default: a
+     *  looping program spends it all, so size it to the program. */
+    RunResult run(Cycle max_cycles);
 
     // --- PuContext ---------------------------------------------------
     Cycle icacheAccess(unsigned unit, Cycle now, Addr pc) override;

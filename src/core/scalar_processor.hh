@@ -61,8 +61,9 @@ class ScalarProcessor : public Machine
   public:
     ScalarProcessor(const Program &program, const ScalarConfig &config);
 
-    /** Run to the exit syscall (or @p max_cycles). */
-    RunResult run(Cycle max_cycles = 1'000'000'000);
+    /** Run to the exit syscall (or @p max_cycles). No default: a
+     *  looping program spends it all, so size it to the program. */
+    RunResult run(Cycle max_cycles);
 
     // --- PuContext ---------------------------------------------------
     Cycle icacheAccess(unsigned unit, Cycle now, Addr pc) override;

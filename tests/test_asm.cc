@@ -167,6 +167,9 @@ main:   li $4, 100
     EXPECT_EQ(p.code[3].imm, 0x1234);
     EXPECT_EQ(p.code[4].op, Opcode::kOri);
     EXPECT_EQ(p.code[4].imm, 0x5678);
+    // The assembler emits every instruction with its static facts.
+    EXPECT_EQ(p.code[4].dest, isa::intReg(7));
+    EXPECT_EQ(p.code[4].srcs, RegMask{isa::intReg(7)});
 }
 
 TEST(Asm, PseudoBranchesAndMoves)

@@ -220,6 +220,10 @@ TEST_P(EncodingRoundTrip, EveryOpcodeRoundTrips)
         EXPECT_EQ(back->imm, inst.imm) << inst.toString();
         EXPECT_EQ(back->target, inst.target) << inst.toString();
         EXPECT_EQ(back->rel2, inst.rel2) << inst.toString();
+        // The decoder derives the static facts too.
+        inst.predecode();
+        EXPECT_EQ(back->dest, inst.dest) << inst.toString();
+        EXPECT_EQ(back->srcs, inst.srcs) << inst.toString();
     }
 }
 
@@ -427,16 +431,57 @@ TEST(Exec, MemoryHelpers)
         f);
 }
 
+/** mk() with its static facts derived. */
+Instruction
+decoded(Opcode op)
+{
+    Instruction inst = mk(op);
+    inst.predecode();
+    return inst;
+}
+
 TEST(Instruction, Predicates)
 {
-    EXPECT_TRUE(mk(Opcode::kLw).isMemOp());
-    EXPECT_TRUE(mk(Opcode::kSw).isMemOp());
-    EXPECT_FALSE(mk(Opcode::kAddu).isMemOp());
+    EXPECT_TRUE(decoded(Opcode::kLw).memOp);
+    EXPECT_TRUE(decoded(Opcode::kSw).memOp);
+    EXPECT_FALSE(decoded(Opcode::kAddu).memOp);
     EXPECT_TRUE(mk(Opcode::kBeq).isCondBranch());
     EXPECT_FALSE(mk(Opcode::kJ).isCondBranch());
     EXPECT_TRUE(mk(Opcode::kJ).isJump());
     EXPECT_TRUE(mk(Opcode::kJr).isJump());
-    EXPECT_TRUE(mk(Opcode::kBeq).isControlOp());
+    EXPECT_TRUE(isControl(decoded(Opcode::kBeq).opClass));
+}
+
+TEST(Instruction, PredecodeDerivesTheOperandModel)
+{
+    const Instruction add = decoded(Opcode::kAddu);
+    EXPECT_EQ(add.dest, intReg(1));
+    EXPECT_EQ(add.srcs, (RegMask{intReg(2), intReg(3)}));
+    EXPECT_EQ(add.fu, FuKind::kSimpleInt);
+    EXPECT_EQ(add.latency, 1u);
+    EXPECT_FALSE(add.barrier);
+    // Stores write no register; syscalls read $v0/$a0/$a1 and write
+    // $v0 whatever their fields say; releases read what they release.
+    const Instruction sw = decoded(Opcode::kSw);
+    EXPECT_EQ(sw.dest, kNoReg);
+    EXPECT_EQ(sw.srcs, (RegMask{intReg(2), intReg(3)}));
+    const Instruction sys = decoded(Opcode::kSyscall);
+    EXPECT_EQ(sys.dest, intReg(kRegV0));
+    EXPECT_EQ(sys.srcs,
+              (RegMask{intReg(kRegV0), intReg(kRegA0), intReg(kRegA1)}));
+    EXPECT_TRUE(sys.barrier);
+    Instruction rel = mk(Opcode::kRelease);
+    rel.rd = kNoReg;
+    rel.rel2 = intReg(9);
+    rel.predecode();
+    EXPECT_EQ(rel.srcs, (RegMask{intReg(2), intReg(9)}));
+    EXPECT_EQ(rel.dest, kNoReg);
+    // Class, FU and latency follow Table 1.
+    const Instruction div = decoded(Opcode::kDivD);
+    EXPECT_EQ(div.opClass, InstClass::kFpDivDP);
+    EXPECT_EQ(div.fu, FuKind::kFp);
+    EXPECT_EQ(div.latency, 18u);
+    EXPECT_TRUE(decoded(Opcode::kJr).barrier);
 }
 
 TEST(Instruction, ToStringShowsTags)

@@ -47,7 +47,7 @@ referenceRun(
                        "text at 0x", std::hex, pc, std::dec);
         result.instructions += 1;
         Addr next = pc + kInstrBytes;
-        switch (inst->cls()) {
+        switch (inst->opClass) {
           case InstClass::kLoad: {
             const Addr addr = isa::memAddr(*inst, read(inst->rs));
             const unsigned size = isa::memSize(inst->op);

@@ -1050,12 +1050,7 @@ Assembler::passTwo(Program &prog)
                                                  0xffff));
             break;
         }
-        // Encode (validates field ranges) and keep the binary image.
-        Word word = isa::encode(inst, pc);
-        prog.textBytes.push_back(std::uint8_t(word & 0xff));
-        prog.textBytes.push_back(std::uint8_t((word >> 8) & 0xff));
-        prog.textBytes.push_back(std::uint8_t((word >> 16) & 0xff));
-        prog.textBytes.push_back(std::uint8_t((word >> 24) & 0xff));
+        isa::checkFields(inst, pc);
         inst.predecode();
         prog.code.push_back(inst);
         prog.lineNos.push_back(pi.lineNo);

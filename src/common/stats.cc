@@ -38,11 +38,4 @@ StatRegistry::format() const
     return os.str();
 }
 
-void
-StatRegistry::reset()
-{
-    for (auto &g : groups_)
-        g.reset();
-}
-
 } // namespace msim

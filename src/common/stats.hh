@@ -30,8 +30,7 @@ class StatGroup
      * bump once, at construction, so the simulation hot path
      * increments a plain integer instead of building a string and
      * walking a map. The reference stays valid for the group's
-     * lifetime: through reset() and through later insertions of
-     * other names.
+     * lifetime, through later insertions of other names.
      */
     std::uint64_t &
     counter(const std::string &stat)
@@ -83,21 +82,6 @@ class StatGroup
         return dists_;
     }
 
-    /**
-     * Reset every counter to zero in place: the set of registered
-     * stat names survives so post-reset reports keep their rows.
-     */
-    void
-    reset()
-    {
-        for (auto &[stat, value] : scalars_)
-            value = 0;
-        for (auto &[dist, buckets] : dists_) {
-            for (auto &[bucket, value] : buckets)
-                value = 0;
-        }
-    }
-
     /** Render "group.stat value" lines (then distribution buckets). */
     std::string format() const;
 
@@ -119,9 +103,6 @@ class StatRegistry
 
     /** Render every group. */
     std::string format() const;
-
-    /** Reset every counter in every group. */
-    void reset();
 
   private:
     /** Deque: references returned by group() must remain stable. */

@@ -48,8 +48,12 @@ checkPu(const char *scope, const PuConfig &pu)
         bad(scope, "pu.issueWidth", "must be in [1, 2]");
     if (pu.windowSize == 0)
         bad(scope, "pu.windowSize", "must be non-zero");
-    if (pu.fetchBufferSize == 0)
-        bad(scope, "pu.fetchBufferSize", "must be non-zero");
+    // Fetch delivers issueWidth instructions at once, and only into
+    // that much free buffer space.
+    if (pu.fetchBufferSize < pu.issueWidth)
+        bad(scope, "pu.fetchBufferSize",
+            "must be at least the issue width (" +
+                std::to_string(pu.issueWidth) + ")");
     if (pu.branchPredictorEntries == 0 ||
         !isPow2(pu.branchPredictorEntries))
         bad(scope, "pu.branchPredictorEntries",

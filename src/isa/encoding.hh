@@ -1,6 +1,6 @@
 /**
  * @file
- * Binary encoding of the msim ISA (classic MIPS-style layout).
+ * Field ranges of the msim ISA's 32-bit MIPS-style instruction format.
  *
  * Layout (32 bits):
  *   R-format: [31:26]=0, [25:21] rs, [20:16] rt, [15:11] rd,
@@ -8,17 +8,17 @@
  *   I-format: [31:26] primary, [25:21] rs, [20:16] rt/rd, [15:0] imm16
  *   J-format: [31:26] primary, [25:0] absolute word address
  *
- * Arithmetic immediates, load/store offsets and branch offsets are
- * signed 16 bits; logical immediates (andi/ori/xori) are zero
- * extended; branch offsets are word offsets relative to the next
- * instruction. Tag bits are not part of the encoding; they live in a
- * table beside the program text (paper section 2.2).
+ * Programs are never packed into binary words: the pipelines run from
+ * the predecoded Program::code. The assembler still holds every
+ * operand to the width of its field, so workloads stay programs a
+ * 32-bit ISA could encode. Arithmetic immediates, load/store offsets
+ * and branch offsets are signed 16 bits; logical immediates
+ * (andi/ori/xori) are unsigned 16 bits; branch offsets count words
+ * from the next instruction; jump targets are 26-bit word indices.
  */
 
 #ifndef MSIM_ISA_ENCODING_HH
 #define MSIM_ISA_ENCODING_HH
-
-#include <optional>
 
 #include "common/types.hh"
 #include "isa/instruction.hh"
@@ -26,26 +26,15 @@
 namespace msim::isa {
 
 /**
- * Encode a decoded instruction into its 32-bit binary form.
+ * Check that every operand of @p inst fits its field.
  *
- * @param inst The instruction to encode.
+ * @param inst The instruction to check.
  * @param pc The address the instruction will occupy (for branches).
- * @return the 32-bit word.
  *
- * Throws FatalError when an operand does not fit its field (e.g. an
- * immediate outside the signed 16-bit range).
+ * Throws FatalError when an operand does not fit (e.g. an immediate
+ * outside the signed 16-bit range, or a misaligned branch target).
  */
-Word encode(const Instruction &inst, Addr pc);
-
-/**
- * Decode a 32-bit word into an instruction (without tag bits).
- *
- * @param word The binary instruction.
- * @param pc The address it was fetched from (for branches).
- * @return the decoded instruction, or std::nullopt for an illegal
- *         opcode or funct field.
- */
-std::optional<Instruction> decode(Word word, Addr pc);
+void checkFields(const Instruction &inst, Addr pc);
 
 /** Immediate range limits for the signed I-format immediate. */
 inline constexpr std::int32_t kMinImm16 = -(1 << 15);

@@ -2,19 +2,18 @@
  * @file
  * The decoded instruction representation used by the pipelines.
  *
- * The simulator executes from decoded instructions; the 32-bit binary
- * encoding (see isa/encoding.hh) exists so programs have a real
- * memory image, and the two forms round-trip. Tag bits (forward and
- * stop bits, paper section 2.2) conceptually live in a table beside
- * the program text and are concatenated with the instruction on
- * icache fill; here they ride in the decoded form.
+ * The simulator executes from decoded instructions only; there is no
+ * binary form (isa/encoding.hh keeps the field widths a 32-bit format
+ * would impose). Tag bits (forward and stop bits, paper section 2.2)
+ * conceptually live in a table beside the program text and are
+ * concatenated with the instruction on icache fill; here they ride in
+ * the decoded form.
  */
 
 #ifndef MSIM_ISA_INSTRUCTION_HH
 #define MSIM_ISA_INSTRUCTION_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/reg_mask.hh"
 #include "common/types.hh"
@@ -75,7 +74,8 @@ struct Instruction
     /** A branch, jump or syscall: nothing younger issues before it. */
     bool barrier = false;
 
-    /** Derive the static facts; the assembler and decode() call it. */
+    /** Derive the static facts; the assembler calls it once per
+     *  instruction as it fills Program::code. */
     void predecode();
 
     /** @return true for conditional branches (not jumps). */
@@ -107,9 +107,6 @@ struct Instruction
         return op == Opcode::kJ || op == Opcode::kJal ||
                op == Opcode::kJr || op == Opcode::kJalr;
     }
-
-    /** Render in assembly syntax (tags appended as !f/!s suffixes). */
-    std::string toString() const;
 };
 
 } // namespace msim::isa

@@ -131,9 +131,6 @@ MainMemory::readString(Addr addr) const
 void
 MainMemory::loadProgram(const Program &prog)
 {
-    if (!prog.textBytes.empty())
-        writeBytes(prog.textBase, prog.textBytes.data(),
-                   prog.textBytes.size());
     for (const DataSegment &seg : prog.data) {
         if (!seg.bytes.empty())
             writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());

@@ -57,7 +57,7 @@ class MainMemory
     /** Read a NUL-terminated string (bounded at 64 KiB). */
     std::string readString(Addr addr) const;
 
-    /** Load a program image (text bytes + data segments). */
+    /** Load a program's initialized data segments. */
     void loadProgram(const Program &prog);
 
   private:

@@ -1,11 +1,11 @@
 /**
  * @file
- * A loaded msim program: encoded text image, decoded side table,
- * data segments, task descriptors, and a symbol table.
+ * A loaded msim program: predecoded instructions, data segments,
+ * task descriptors, and a symbol table.
  *
- * The decoded side table is the standard simulator shortcut: timing
- * still flows through the icache on the real byte image, but the
- * pipelines execute pre-decoded instructions.
+ * Instructions occupy 4 bytes of the address space each, so fetch
+ * timing flows through the icache by address, but there is no binary
+ * text image: the pipelines execute the predecoded side table.
  */
 
 #ifndef MSIM_PROGRAM_PROGRAM_HH
@@ -45,9 +45,6 @@ class Program
 
     /** Base address of the text segment. */
     Addr textBase = kTextBase;
-
-    /** Encoded text image (little endian words). */
-    std::vector<std::uint8_t> textBytes;
 
     /** Decoded instructions, static facts included (only the
      *  assembler fills it); index i is address textBase + 4*i. */

@@ -11,7 +11,6 @@
 #define MSIM_PROGRAM_TASK_DESCRIPTOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/reg_mask.hh"
@@ -54,9 +53,6 @@ struct TaskDescriptor
 
     /** Source line of the .task directive (0 = unknown). */
     int lineNo = 0;
-
-    /** Render for diagnostics. */
-    std::string toString() const;
 };
 
 } // namespace msim

@@ -3,26 +3,16 @@
 #include <cstdio>
 
 #include "asm/assembler.hh"
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 
 namespace msim {
 
 namespace {
 
-/** FNV-1a 64-bit over a byte range. */
+/** Fold a string field and its terminator. */
 std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &s)
+fnv1aField(std::uint64_t h, const std::string &s)
 {
     // Hash the terminator too, so concatenated fields cannot alias
     // ("ab" + "c" vs "a" + "bc").
@@ -35,11 +25,11 @@ std::uint64_t
 workloadContentHash(const workloads::Workload &workload, bool multiscalar,
                     const std::set<std::string> &defines, unsigned scale)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, workload.source);
+    std::uint64_t h = kFnv1aBasis;
+    h = fnv1aField(h, workload.source);
     h = fnv1a(h, multiscalar ? "ms" : "sc", 2);
     for (const std::string &d : defines)
-        h = fnv1a(h, d);
+        h = fnv1aField(h, d);
     h = fnv1a(h, &scale, sizeof(scale));
     return h;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arb/arb.hh"
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -383,12 +384,9 @@ outOfOrderTraceDigest(const Arb::Params &params, unsigned span,
     Arb arb(stats.group("arb"), mem, params);
     Rng rng(seed);
 
-    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t digest = kFnv1aBasis;
     auto fold = [&](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            digest ^= (v >> (8 * i)) & 0xff;
-            digest *= 0x100000001b3ull;
-        }
+        digest = fnv1a(digest, &v, sizeof v);
     };
 
     const Addr kBase = 0x4000;

@@ -404,5 +404,39 @@ TEST(AsmErrors, InstructionOutsideText)
     EXPECT_THROW(asms(".data\nmain: nop\n"), FatalError);
 }
 
+/** @return the FatalError text of assembling @p src ("" if none). */
+std::string
+asmError(const std::string &src)
+{
+    try {
+        asms(src);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(AsmErrors, OperandsOutsideTheirFields)
+{
+    // Every operand must fit the field a 32-bit format gives it.
+    EXPECT_EQ(asmError(".text\nmain: addiu $1, $2, 40000\n"),
+              "fatal: immediate 40000 out of signed 16-bit range in "
+              "addiu");
+    EXPECT_EQ(asmError(".text\nmain: ori $1, $2, -1\n"),
+              "fatal: immediate -1 out of unsigned 16-bit range in ori");
+    EXPECT_EQ(asmError(".text\nmain: sll $1, $2, 32\n"),
+              "fatal: <asm>:2: shift amount out of range");
+    std::string far = ".text\nmain: beq $1, $2, far\n";
+    for (int i = 0; i < 33000; ++i)
+        far += "nop\n";
+    far += "far: nop\n";
+    EXPECT_EQ(asmError(far),
+              "fatal: immediate 33000 out of signed 16-bit range in beq");
+    EXPECT_EQ(asmError(".text\nmain: beq $1, $2, 0x400002\n"),
+              "fatal: misaligned branch target");
+    EXPECT_EQ(asmError(".text\nmain: j 0x400002\n"),
+              "fatal: misaligned jump target");
+}
+
 } // namespace
 } // namespace msim

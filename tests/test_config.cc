@@ -328,6 +328,24 @@ TEST(ShapeParse, ValidateRejectsNonPowerOfTwoBlocks)
                      "power-of-two multiple");
 }
 
+TEST(ShapeParse, FetchBufferNarrowerThanIssueWidthRejected)
+{
+    // Fetch delivers a whole issue group into free buffer space, so a
+    // narrower buffer would never fetch and the run would deadlock.
+    expectParseError("{\"pu\": {\"issue_width\": 2, "
+                     "\"fetch_buffer_size\": 1}}",
+                     "", "pu.fetchBufferSize");
+    expectParseError("{\"multiscalar\": false, \"pu\": {\"issue_width\": "
+                     "2, \"fetch_buffer_size\": 1}}",
+                     "", "pu.fetchBufferSize");
+    MsConfig ms;
+    ms.pu.issueWidth = 2;
+    ms.pu.fetchBufferSize = 2;
+    EXPECT_NO_THROW(ms.validate());
+    ms.pu.fetchBufferSize = 1;
+    EXPECT_THROW(ms.validate(), FatalError);
+}
+
 TEST(ShapeParse, NumBanksZeroIsTheDefaultingMarker)
 {
     const MachineShape shape = config::parseShape(

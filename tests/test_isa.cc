@@ -1,13 +1,17 @@
 /**
  * @file
  * ISA tests: register name parsing, opcode table sanity, Table 1
- * latencies, binary encode/decode round trips (including a
- * property-style sweep over every opcode), and functional semantics
- * of the evaluator against reference computations.
+ * latencies, operand field ranges and a round trip through assembly
+ * text (a property-style sweep over every opcode), and functional
+ * semantics of the evaluator against reference computations.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/encoding.hh"
@@ -86,7 +90,7 @@ TEST(Opcodes, FuAssignment)
     EXPECT_EQ(fuKind(InstClass::kFpMulDP), FuKind::kFp);
 }
 
-// --- encode/decode ---------------------------------------------------
+// --- field ranges and assembly round trip ----------------------------
 
 Instruction
 randomInstruction(Opcode op, Rng &rng, Addr pc)
@@ -199,31 +203,141 @@ randomInstruction(Opcode op, Rng &rng, Addr pc)
     return inst;
 }
 
+/** Render @p inst as a line of assembly source. */
+std::string
+asmLine(const Instruction &inst)
+{
+    const OpInfo &info = opInfo(inst.op);
+    auto n = [](std::int64_t v) { return std::to_string(v); };
+    std::vector<std::string> ops;
+    switch (info.format) {
+      case Format::kR3:
+        ops = {regName(inst.rd), regName(inst.rs), regName(inst.rt)};
+        break;
+      case Format::kR2:
+      case Format::kJalr:
+        ops = {regName(inst.rd), regName(inst.rs)};
+        break;
+      case Format::kRI:
+      case Format::kSh:
+        ops = {regName(inst.rd), regName(inst.rs), n(inst.imm)};
+        break;
+      case Format::kLui:
+        ops = {regName(inst.rd), n(inst.imm)};
+        break;
+      case Format::kLS:
+        ops = {regName(inst.rd == kNoReg ? inst.rt : inst.rd),
+               n(inst.imm) + "(" + regName(inst.rs) + ")"};
+        break;
+      case Format::kBr2:
+        ops = {regName(inst.rs), regName(inst.rt), n(inst.target)};
+        break;
+      case Format::kBr1:
+        ops = {regName(inst.rs), n(inst.target)};
+        break;
+      case Format::kJ:
+        ops = {n(inst.target)};
+        break;
+      case Format::kJr:
+        ops = {regName(inst.rs)};
+        break;
+      case Format::kRel:
+        ops = {regName(inst.rs)};
+        if (inst.rel2 != kNoReg)
+            ops.push_back(regName(inst.rel2));
+        break;
+      case Format::kNone:
+        break;
+    }
+    std::string line = info.mnemonic;
+    for (size_t i = 0; i < ops.size(); ++i)
+        line += (i == 0 ? " " : ", ") + ops[i];
+    return line;
+}
+
+/** Copies of @p inst with one range-checked field one past its limit. */
+std::vector<Instruction>
+pastRange(const Instruction &inst, Addr pc)
+{
+    std::vector<Instruction> out;
+    auto imm = [&](std::int64_t v) {
+        out.push_back(inst);
+        out.back().imm = std::int32_t(v);
+    };
+    auto target = [&](std::int64_t v) {
+        out.push_back(inst);
+        out.back().target = Addr(v);
+    };
+    const std::int64_t next = std::int64_t(pc) + kInstrBytes;
+    switch (opInfo(inst.op).format) {
+      case Format::kSh:
+        imm(-1);
+        imm(32);
+        break;
+      case Format::kRI:
+        if (inst.op == Opcode::kAndi || inst.op == Opcode::kOri ||
+            inst.op == Opcode::kXori) {
+            imm(-1);
+            imm(kMaxUImm16 + 1);
+            break;
+        }
+        [[fallthrough]];
+      case Format::kLS:
+        imm(kMinImm16 - 1);
+        imm(kMaxImm16 + 1);
+        break;
+      case Format::kBr2:
+      case Format::kBr1:
+        target(next + (kMinImm16 - 1) * 4);
+        target(next + (kMaxImm16 + 1) * 4);
+        target(inst.target + 2);
+        break;
+      case Format::kJ:
+        target(std::int64_t(1) << 28);
+        target(inst.target + 2);
+        break;
+      default:
+        break;  // register operands only, or lui's free immediate
+    }
+    return out;
+}
+
 class EncodingRoundTrip : public ::testing::TestWithParam<int>
 {
 };
 
 TEST_P(EncodingRoundTrip, EveryOpcodeRoundTrips)
 {
+    // Random in-range instructions of one opcode pass checkFields and
+    // come back field for field from their assembly text; each
+    // range-checked field pushed one past its limit throws.
     const Opcode op = Opcode(GetParam());
     Rng rng(std::uint64_t(GetParam()) * 7919 + 1);
-    const Addr pc = 0x00400100;
+    const Addr pc = kTextBase;
+    assembler::AsmOptions opts;
+    opts.multiscalar = true;  // keeps release
     for (int iter = 0; iter < 50; ++iter) {
         Instruction inst = randomInstruction(op, rng, pc);
-        const Word word = encode(inst, pc);
-        auto back = decode(word, pc);
-        ASSERT_TRUE(back.has_value()) << opInfo(op).mnemonic;
-        EXPECT_EQ(back->op, inst.op) << inst.toString();
-        EXPECT_EQ(back->rd, inst.rd) << inst.toString();
-        EXPECT_EQ(back->rs, inst.rs) << inst.toString();
-        EXPECT_EQ(back->rt, inst.rt) << inst.toString();
-        EXPECT_EQ(back->imm, inst.imm) << inst.toString();
-        EXPECT_EQ(back->target, inst.target) << inst.toString();
-        EXPECT_EQ(back->rel2, inst.rel2) << inst.toString();
-        // The decoder derives the static facts too.
+        const std::string line = asmLine(inst);
+        EXPECT_NO_THROW(checkFields(inst, pc)) << line;
+        const Program prog =
+            assembler::assemble(".text\nmain: " + line + "\n", opts);
+        ASSERT_EQ(prog.code.size(), 1u) << line;
+        const Instruction &back = prog.code[0];
+        EXPECT_EQ(back.op, inst.op) << line;
+        EXPECT_EQ(back.rd, inst.rd) << line;
+        EXPECT_EQ(back.rs, inst.rs) << line;
+        EXPECT_EQ(back.rt, inst.rt) << line;
+        EXPECT_EQ(back.imm, inst.imm) << line;
+        EXPECT_EQ(back.target, inst.target) << line;
+        EXPECT_EQ(back.rel2, inst.rel2) << line;
+        // The assembler derives the static facts too.
         inst.predecode();
-        EXPECT_EQ(back->dest, inst.dest) << inst.toString();
-        EXPECT_EQ(back->srcs, inst.srcs) << inst.toString();
+        EXPECT_EQ(back.dest, inst.dest) << line;
+        EXPECT_EQ(back.srcs, inst.srcs) << line;
+        for (const Instruction &bad : pastRange(inst, pc))
+            EXPECT_THROW(checkFields(bad, pc), msim::FatalError)
+                << asmLine(bad);
     }
 }
 
@@ -245,9 +359,9 @@ TEST(Encoding, ImmediateRangeEnforced)
     inst.rd = intReg(1);
     inst.rs = intReg(2);
     inst.imm = 0x8000;  // one past the signed max
-    EXPECT_THROW(encode(inst, 0), msim::FatalError);
+    EXPECT_THROW(checkFields(inst, 0), msim::FatalError);
     inst.imm = -0x8001;
-    EXPECT_THROW(encode(inst, 0), msim::FatalError);
+    EXPECT_THROW(checkFields(inst, 0), msim::FatalError);
 }
 
 TEST(Encoding, BranchRangeAndAlignment)
@@ -257,17 +371,9 @@ TEST(Encoding, BranchRangeAndAlignment)
     inst.rs = intReg(1);
     inst.rt = intReg(2);
     inst.target = 0x00400002;  // misaligned
-    EXPECT_THROW(encode(inst, 0x00400000), msim::FatalError);
+    EXPECT_THROW(checkFields(inst, 0x00400000), msim::FatalError);
     inst.target = 0x00400000 + (40000 * 4);  // out of range
-    EXPECT_THROW(encode(inst, 0x00400000), msim::FatalError);
-}
-
-TEST(Encoding, IllegalWordsDecodeToNothing)
-{
-    // Primary opcode beyond the table.
-    EXPECT_FALSE(decode(0xfc000000u, 0).has_value());
-    // R-format with an unassigned funct.
-    EXPECT_FALSE(decode(0x0000003fu, 0).has_value());
+    EXPECT_THROW(checkFields(inst, 0x00400000), msim::FatalError);
 }
 
 // --- exec semantics ---------------------------------------------------
@@ -482,17 +588,6 @@ TEST(Instruction, PredecodeDerivesTheOperandModel)
     EXPECT_EQ(div.fu, FuKind::kFp);
     EXPECT_EQ(div.latency, 18u);
     EXPECT_TRUE(decoded(Opcode::kJr).barrier);
-}
-
-TEST(Instruction, ToStringShowsTags)
-{
-    Instruction inst = mk(Opcode::kAddu);
-    inst.tags.forward = true;
-    inst.tags.stop = StopKind::kAlways;
-    const std::string s = inst.toString();
-    EXPECT_NE(s.find("addu"), std::string::npos);
-    EXPECT_NE(s.find("!f"), std::string::npos);
-    EXPECT_NE(s.find("!s"), std::string::npos);
 }
 
 } // namespace

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "common/fnv1a.hh"
 #include "common/rng.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
@@ -345,18 +346,14 @@ struct FuzzTiming
 {
     std::vector<std::uint64_t> cycles;
     /** FNV-1a 64 over every run's eight CycleCat totals. */
-    std::uint64_t digest = 14695981039346656037ull;
+    std::uint64_t digest = kFnv1aBasis;
 
     /** Fold @p r's accounting totals into the digest. */
     void
     fold(const RunResult &r)
     {
-        for (std::uint64_t v : r.accounting.total) {
-            for (int byte = 0; byte < 8; ++byte) {
-                digest ^= (v >> (8 * byte)) & 0xff;
-                digest *= 1099511628211ull;
-            }
-        }
+        for (std::uint64_t v : r.accounting.total)
+            digest = fnv1a(digest, &v, sizeof v);
     }
 
     /** Record @p r's cycle count and fold its accounting. */

@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/fnv1a.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/multiscalar_processor.hh"
@@ -468,11 +469,7 @@ TEST(TraceEndToEnd, MultiscalarRunWritesValidChromeTrace)
 std::string
 fnv1aHex(const std::string &s)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
+    const std::uint64_t h = fnv1a(kFnv1aBasis, s.data(), s.size());
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
     return buf;
@@ -701,40 +698,17 @@ TEST(CycleAccounting, TracedRunMatchesUntracedCycleCounts)
 }
 
 // --------------------------------------------------------------------
-// StatGroup (reset semantics and distributions)
+// StatGroup (counter handles and distributions)
 // --------------------------------------------------------------------
 
-TEST(StatGroup, ResetZeroesValuesButKeepsNames)
-{
-    StatGroup g("g");
-    g.counter("hits") += 5;
-    g.counter("misses") += 1;
-    g.addToDist("lat", "p50", 7);
-    g.reset();
-    EXPECT_EQ(g.get("hits"), 0u);
-    EXPECT_EQ(g.get("misses"), 0u);
-    EXPECT_EQ(g.getDist("lat", "p50"), 0u);
-    // The names survive so post-reset reports keep their rows.
-    ASSERT_EQ(g.scalars().size(), 2u);
-    EXPECT_EQ(g.scalars().count("hits"), 1u);
-    EXPECT_EQ(g.scalars().count("misses"), 1u);
-    ASSERT_EQ(g.dists().size(), 1u);
-    EXPECT_EQ(g.dists().at("lat").count("p50"), 1u);
-    EXPECT_NE(g.format().find("g.hits 0"), std::string::npos);
-}
-
-TEST(StatGroup, CounterHandleSurvivesResetAndInsertions)
+TEST(StatGroup, CounterHandleSurvivesInsertions)
 {
     StatGroup g("g");
     std::uint64_t &x = g.counter("x");
-    x += 3;
-    EXPECT_EQ(g.get("x"), 3u);
-    g.reset();
-    EXPECT_EQ(x, 0u);
-    // The handle still aliases the stored value after the reset...
     x += 2;
     EXPECT_EQ(g.get("x"), 2u);
-    // ...and after many more names are inserted around it.
+    // The handle still aliases the stored value after many more names
+    // are inserted around it.
     for (int i = 0; i < 50; ++i) {
         std::string name = "n";
         name += std::to_string(i);

@@ -1024,6 +1024,9 @@ Assembler::passTwo(Program &prog)
           case ImmRole::kNone:
             break;
           case ImmRole::kImm:
+            // checkFields sees 32 bits: reject what would wrap.
+            fatalIf(v != std::int32_t(v), opts_.fileName, ":", pi.lineNo,
+                    ": immediate ", v, " out of range");
             inst.imm = std::int32_t(v);
             break;
           case ImmRole::kShamt:

@@ -100,6 +100,7 @@ class Machine : public PuContext
                                             *config.l2, tracer_.get());
         }
         fastForward_ = config.fastForward && !tracer_;
+        tickEveryUnit_ = tracer_ && tracer_->wants(TraceCat::kPu);
     }
 
     /** @return the L1s' next level: the shared L2, else the bus. */
@@ -134,6 +135,8 @@ class Machine : public PuContext
     bool started_ = false;
     /** Cycle-exact fast-forward (see MsConfig::fastForward). */
     bool fastForward_ = false;
+    /** Units are ticked every cycle, due or not, for their trace samples. */
+    bool tickEveryUnit_ = false;
 };
 
 } // namespace msim

@@ -84,6 +84,7 @@ MultiscalarProcessor::MultiscalarProcessor(const Program &program,
             u, config.pu, *this, stats_.group("pu" + std::to_string(u)),
             &acct_, tracer));
     }
+    due_.assign(config.numUnits, kCycleNever);
     taskInfo_.resize(config.numUnits);
     if (config.writeSetOracle || config.memDepOracle)
         oracle_ = std::make_unique<analysis::AnnotationVerifier>(program);
@@ -273,7 +274,10 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *event,
         const unsigned tail_unit = unitAt(numActive_ - 1);
         if (taskInfo_[tail_unit].seq < from)
             break;
-        result_.squashedInstructions += pu(tail_unit).flush();
+        const std::uint64_t executed = pu(tail_unit).flush();
+        result_.squashedInstructions += executed;
+        progress_ += executed;
+        due_[tail_unit] = kCycleNever;
         result_.tasksSquashed += 1;
         acct_.squashTask(tail_unit, now + 1);
         if (tracer_ && tracer_->wants(TraceCat::kTask)) {
@@ -421,8 +425,11 @@ MultiscalarProcessor::retirePhase(Cycle now)
             archRegs_[size_t(r)] =
                 pu(head_unit).forwardedValue(RegIndex(r));
     }
-    result_.instructions += pu(head_unit).retire();
+    const std::uint64_t executed = pu(head_unit).retire();
+    result_.instructions += executed;
     result_.tasksRetired += 1;
+    progress_ += executed + 1;
+    due_[head_unit] = kCycleNever;
     taskInfo_[head_unit] = ActiveTask{};
     head_ = (head_ + 1) % config_.numUnits;
     --numActive_;
@@ -495,8 +502,11 @@ MultiscalarProcessor::assignPhase(Cycle now)
         }
     }
 
+    // The unit's count of its last task's instructions starts over.
+    progress_ -= pu(unit).taskInstructions();
     pu(unit).assignTask(info.seq, addr, desc->createMask, busy,
                         init.data(), producers.data());
+    due_[unit] = now + 1;
     if (oracle_ && config_.writeSetOracle) {
         const analysis::TaskFacts *facts = oracle_->facts(addr);
         if (facts && !facts->incomplete)
@@ -526,11 +536,11 @@ MultiscalarProcessor::assignPhase(Cycle now)
 }
 
 void
-MultiscalarProcessor::ringPhase(Cycle)
+MultiscalarProcessor::ringPhase(Cycle now)
 {
-    ring_->tick([this](unsigned unit, const RingMessage &msg) {
-        ProcessingUnit &u = pu(unit);
-        u.deliverForward(msg.reg, msg.value, msg.producer);
+    ring_->tick(now, [this, now](unsigned unit, const RingMessage &msg) {
+        if (pu(unit).deliverForward(msg.reg, msg.value, msg.producer))
+            due_[unit] = now;
         // Values travel the whole ring (numUnits-1 hops). Stopping
         // early at a unit whose create mask holds the register looks
         // attractive, but once the task window wraps the ring, a
@@ -545,8 +555,17 @@ MultiscalarProcessor::ringPhase(Cycle)
 void
 MultiscalarProcessor::unitsPhase(Cycle now)
 {
-    for (unsigned p = 0; p < config_.numUnits; ++p)
-        pu(unitAt(p)).tick(now);
+    // Head first: ring sends, ARB accesses and bus reservations
+    // depend on the order.
+    const unsigned n = config_.numUnits;
+    for (unsigned p = 0, u = head_; p < n; ++p, u = u + 1 == n ? 0 : u + 1) {
+        if (due_[u] > now && !tickEveryUnit_)
+            continue;
+        ProcessingUnit &unit = pu(u);
+        const std::uint64_t before = unit.taskInstructions();
+        due_[u] = unit.tick(now);
+        progress_ += unit.taskInstructions() - before;
+    }
 }
 
 bool
@@ -562,55 +581,25 @@ MultiscalarProcessor::stepCycle(Cycle now)
     return false;
 }
 
-std::uint64_t
-MultiscalarProcessor::progressCount() const
-{
-    std::uint64_t progress = result_.instructions + result_.tasksRetired +
-                             result_.squashedInstructions;
-    for (unsigned u = 0; u < config_.numUnits; ++u)
-        progress += pu(u).taskInstructions();
-    return progress;
-}
-
-bool
-MultiscalarProcessor::quiescent() const
-{
-    // A unit whose last tick changed state may act again immediately
-    // — don't bother scanning windows.
-    for (unsigned u = 0; u < config_.numUnits; ++u) {
-        if (!pu(u).quiescentLastTick())
-            return false;
-    }
-    return true;
-}
-
 Cycle
 MultiscalarProcessor::nextEventCycle(Cycle now) const
 {
     const Cycle soon = now + 1;
-    // Ring traffic is delivered (and re-launched) every tick; any
-    // queued or in-flight message means progress next cycle.
-    if (!ring_->idle())
+    Cycle next = *std::min_element(due_.begin(), due_.end());
+    if (next <= soon)
         return soon;
-    // A done head task retires next cycle.
-    if (numActive_ > 0 && pu(unitAt(0)).isDone())
+    // A message on the ring moves or arrives next cycle, and a done
+    // head task retires.
+    if (!ring_->idle() || (numActive_ > 0 && pu(unitAt(0)).isDone()))
         return soon;
-    Cycle next = kCycleNever;
     // The sequencer: a descriptor fetch in flight has a known ready
     // cycle; otherwise an unblocked walk acts (starts a descriptor
     // access or assigns) next cycle.
     if (nextTaskAddr_ && numActive_ < config_.numUnits) {
         if (descFetchAddr_ == *nextTaskAddr_ && now < descReadyAt_)
-            next = descReadyAt_;
+            next = std::min(next, descReadyAt_);
         else
             return soon;
-    }
-    for (unsigned u = 0; u < config_.numUnits; ++u) {
-        const Cycle e = pu(u).nextEventCycle(now);
-        if (e <= soon)
-            return soon;
-        if (e < next)
-            next = e;
     }
     return next;
 }

@@ -114,12 +114,11 @@ class MultiscalarProcessor : public Machine
     /** Phases 1-5 of one cycle; 3-5 are skipped once the program exits. */
     bool stepCycle(Cycle now);
     /** Committed, retired, squashed and in-flight work so far. */
-    std::uint64_t progressCount() const;
-    bool quiescent() const;
+    std::uint64_t progressCount() const { return progress_; }
     /**
-     * The earliest cycle after @p now at which any component (ring,
-     * sequencer, retirement, any processing unit) can make progress.
-     * Side-effect free; called after a quiescent tick (the run loop
+     * The earliest cycle after @p now at which any component (a
+     * processing unit, the ring, the sequencer, retirement) can act.
+     * Side-effect free; called after stepCycle(now) (the run loop
      * adds the shared L2's bound). now + 1 means "no skip possible";
      * kCycleNever means nothing is scheduled (a stopped walk with no
      * active task — deadlock).
@@ -187,7 +186,11 @@ class MultiscalarProcessor : public Machine
     /** Static conflict prediction backing the mem-dep oracle. */
     std::unique_ptr<analysis::MemDepAnalysis> memDep_;
     std::vector<std::unique_ptr<ProcessingUnit>> units_;
+    /** Per unit, the cycle it is next due (ProcessingUnit::tick). */
+    std::vector<Cycle> due_;
     std::vector<ActiveTask> taskInfo_;
+    /** Retired and squashed work plus each unit's taskInstructions(). */
+    std::uint64_t progress_ = 0;
 
     /** Circular queue state. */
     unsigned head_ = 0;

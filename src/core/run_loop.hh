@@ -13,23 +13,23 @@
  * and:
  *
  *   bool stepCycle(now)       tick one cycle; true = the program exited
- *   progressCount()           grows whenever any work gets done
- *   bool quiescent()          no unit changed state in its last tick
+ *   progressCount()           changes whenever any work gets done
  *   Cycle nextEventCycle(now) next cycle the core can act (now + 1:
  *                             no skip; kCycleNever: nothing scheduled)
  *   foldTasks(end)            settle the tasks in flight at cycle end
  *   dumpState(os)             the watchdog dump, one dumpUnit per task
  *
- * The units record their accounting runs from their full ticks, and
- * the core commits or squashes each task's runs at now + 1 of the
- * cycle that retires or squashes it. A fast-forwarded span needs no
- * bookkeeping: every unit sleeps through it, so it only lengthens
- * the units' open runs.
+ * The units record their accounting runs from their ticks, and the
+ * core commits or squashes each task's runs at now + 1 of the cycle
+ * that retires or squashes it. A fast-forwarded span needs no
+ * bookkeeping: no unit is due in it, so it only lengthens the units'
+ * open runs.
  */
 
 #ifndef MSIM_CORE_RUN_LOOP_HH
 #define MSIM_CORE_RUN_LOOP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <sstream>
@@ -50,8 +50,9 @@ dumpUnit(std::ostream &os, const ProcessingUnit &pu, Addr start)
 {
     os << "\n  unit " << pu.id() << " seq " << pu.seq() << " task@0x"
        << std::hex << start << std::dec << " status "
-       << int(pu.status()) << " awaiting {"
-       << (pu.createMask() - pu.forwardedMask()).toString() << "}";
+       << int(pu.status()) << " unsent {"
+       << (pu.createMask() - pu.forwardedMask()).toString() << "} ";
+    pu.describeOldest(os);
 }
 
 /** Run @p core to its exit syscall or @p max_cycles. */
@@ -92,23 +93,20 @@ runLoop(Core &core, Cycle max_cycles)
             throw DeadlockError(os.str(), now, dump.str());
         }
 
-        // Cycle-exact fast-forward: when every component is
-        // quiescent until some future cycle, the skipped cycles are
-        // provably pure stalls that only lengthen the units' open
-        // accounting runs — just jump. A kCycleNever result (nothing
-        // scheduled at all) falls back to stepping so the watchdog
-        // above still fires.
-        if (core.fastForward_ && core.quiescent()) {
+        // Cycle-exact fast-forward: when no component can act before
+        // some future cycle, the skipped cycles are provably pure
+        // stalls that only lengthen the units' open accounting runs
+        // — just jump. The jump stops at the cycle the watchdog
+        // fires in, so it fires there as it would stepping.
+        if (core.fastForward_) {
             Cycle next = core.nextEventCycle(now);
             // An in-flight L2 MSHR fill bounds the jump (the L2 is a
             // call-time model, so this only shortens skips).
-            if (core.l2_) {
-                const Cycle l2next = core.l2_->nextEventCycle(now);
-                if (l2next < next)
-                    next = l2next;
-            }
-            const Cycle target = next < max_cycles ? next : max_cycles;
-            if (next != kCycleNever && target > now + 1) {
+            if (core.l2_ && next > now + 1)
+                next = std::min(next, core.l2_->nextEventCycle(now));
+            const Cycle target = std::min(
+                {next, max_cycles, last_progress_cycle + kWatchdogCycles + 1});
+            if (target > now + 1) {
                 const std::uint64_t n = target - now - 1;
                 result.fastForwardedCycles += n;
                 ++ff_jumps;

@@ -88,20 +88,16 @@ class ScalarProcessor : public Machine
 
     // --- run-loop hooks (see core/run_loop.hh) -------------------------
     // The single unit is the only event source (the caches and bus are
-    // call-time models), so its quiescence is the machine's.
+    // call-time models), so its due cycle is the machine's.
     bool
     stepCycle(Cycle now)
     {
-        unit_->tick(now);
+        if (due_ <= now || tickEveryUnit_)
+            due_ = unit_->tick(now);
         return syscalls_.exited();
     }
     std::uint64_t progressCount() const { return unit_->taskInstructions(); }
-    bool quiescent() const { return unit_->quiescentLastTick(); }
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        return unit_->nextEventCycle(now);
-    }
+    Cycle nextEventCycle(Cycle) const { return due_; }
     void
     foldTasks(Cycle end)
     {
@@ -114,6 +110,8 @@ class ScalarProcessor : public Machine
     std::unique_ptr<Cache> icache_;
     std::unique_ptr<Cache> dcache_;
     std::unique_ptr<ProcessingUnit> unit_;
+    /** The cycle the unit is next due (see ProcessingUnit::tick). */
+    Cycle due_ = 0;
 };
 
 } // namespace msim

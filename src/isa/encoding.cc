@@ -35,6 +35,9 @@ checkFields(const Instruction &inst, Addr pc)
       case Format::kLS:
         check_simm(inst.imm);
         return;
+      case Format::kLui:
+        check_uimm(inst.imm);
+        return;
       case Format::kBr2:
       case Format::kBr1: {
         std::int64_t diff = std::int64_t(inst.target) -
@@ -49,9 +52,7 @@ checkFields(const Instruction &inst, Addr pc)
                 "jump target out of range");
         return;
       default:
-        // Register-only formats, and lui: only the low 16 bits of
-        // its immediate reach the result, the rest shift out.
-        return;
+        return;  // register-only formats
     }
 }
 

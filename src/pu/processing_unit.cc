@@ -51,7 +51,6 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     panicIf(status_ != Status::kFree, "assignTask to a busy unit");
     panicIf(!busy_mask.empty() && !expected_producers,
             "reserved registers need expected producers");
-    activity_ = true;
     seq_ = seq;
     createMask_ = create_mask;
     forwardedMask_ = RegMask();
@@ -97,7 +96,6 @@ ProcessingUnit::setWriteOracle(const RegMask &may_write,
 std::uint64_t
 ProcessingUnit::flush()
 {
-    activity_ = true;
     q_.clear();
     dispatched_ = 0;
     calendar_.clear();
@@ -129,7 +127,6 @@ ProcessingUnit::retire()
                 "} outside the static forward-point set {",
                 oracleMayForward_.toString(), "}");
     }
-    activity_ = true;
     status_ = Status::kFree;
     ++stats_.tasksRetired;
     return taskInstructions_;
@@ -144,24 +141,24 @@ ProcessingUnit::regValues() const
     return out;
 }
 
-void
+bool
 ProcessingUnit::deliverForward(RegIndex reg, RegValue value,
                                TaskSeq producer)
 {
     if (status_ == Status::kFree || reg <= 0 || reg >= kNumRegs)
-        return;
+        return false;
     RegState &st = regs_[size_t(reg)];
     if (!st.awaitingPred)
-        return;
+        return false;
     if (producer != expectedProducer_[size_t(reg)])
-        return;  // from a farther or stale producer; ignore
-    activity_ = true;
+        return false;  // from a farther or stale producer; ignore
     // A local write shadows the incoming (logically older) value.
     if (!st.writerIssued && !st.writtenWB)
         st.value = value;
     st.awaitingPred = false;
     if (st.pendingWriters == 0)
         unready_.clear(reg);
+    return true;
 }
 
 RegValue
@@ -478,11 +475,17 @@ ProcessingUnit::tryIssue(Slot &slot, size_t index, Cycle now)
     return true;
 }
 
+/**
+ * Issue up to issueWidth ready slots, oldest first. On return every
+ * slot before @p unissued is issued, and if the walk met an un-issued
+ * slot, @p unissued is its index.
+ */
 unsigned
-ProcessingUnit::issuePhase(Cycle now, bool &saw_ready)
+ProcessingUnit::issuePhase(Cycle now, bool &saw_ready, size_t &unissued)
 {
     unsigned issued = 0;
     OlderUnissued older;
+    unissued = dispatched_;
     for (size_t i = 0; i < dispatched_ && issued < config_.issueWidth; ++i) {
         Slot &slot = q_[i];
         if (slot.done)
@@ -490,10 +493,13 @@ ProcessingUnit::issuePhase(Cycle now, bool &saw_ready)
         const Instruction &inst = *slot.inst;
         if (slot.issued) {
             // No issue past an unresolved branch or syscall.
-            if (inst.barrier)
+            if (inst.barrier) {
+                unissued = std::min(unissued, i + 1);
                 break;
+            }
             continue;
         }
+        unissued = std::min(unissued, i);
         if (slotReady(slot, i, older)) {
             if (tryIssue(slot, i, now)) {
                 ++issued;
@@ -635,7 +641,7 @@ ProcessingUnit::memOpInFlight() const
  * wait, distinguished from generic intra-task latency.
  */
 CycleCat
-ProcessingUnit::classifyCycle(unsigned issued_count) const
+ProcessingUnit::classifyCycle(unsigned issued_count, size_t unissued) const
 {
     if (issued_count > 0)
         return CycleCat::kBusy;
@@ -644,9 +650,10 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
     if (status_ == Status::kExited && dispatched_ == 0)
         return CycleCat::kRetireWait;
 
-    // Attribute the stall to the oldest un-issued instruction.
+    // Attribute the stall to the oldest un-issued instruction; the
+    // slots before issuePhase's @p unissued are all issued.
     const Instruction *oldest = nullptr;
-    for (size_t i = 0; i < dispatched_; ++i) {
+    for (size_t i = unissued; i < dispatched_; ++i) {
         if (!q_[i].issued) {
             oldest = q_[i].inst;
             break;
@@ -672,52 +679,47 @@ ProcessingUnit::classifyCycle(unsigned issued_count) const
     return CycleCat::kIntraWait;
 }
 
-bool
-ProcessingUnit::syscallFlipped() const
-{
-    return pollSyscall_ && ctx_.syscallAllowed(id_) != syscallAllowed_;
-}
-
 Cycle
-ProcessingUnit::nextEventCycle(Cycle now) const
-{
-    if (status_ == Status::kFree)
-        return kCycleNever;
-    return syscallFlipped() ? now + 1 : wakeAt_;
-}
-
-void
-ProcessingUnit::scheduleWake(Cycle now, bool saw_ready)
+ProcessingUnit::dueAfter(Cycle now, bool saw_ready) const
 {
     const Cycle soon = now + 1;
-    pollSyscall_ = false;
-    if (activity_ || saw_ready) {
-        // Changed state, or a ready slot retries FU capacity or a
-        // full ARB: the unit may act again next cycle.
-        wakeAt_ = soon;
-        return;
-    }
+    // Changed state, or a ready slot retries FU capacity or a full
+    // ARB: the unit may act again next cycle. An un-issued syscall at
+    // the window head re-polls its permission, the one context answer
+    // a stalled unit reads, every cycle.
+    if (activity_ || saw_ready ||
+        (dispatched_ > 0 && !q_.front().issued &&
+         q_.front().inst->opClass == InstClass::kSyscall))
+        return soon;
     // Nothing changed, so every slot issuePhase could reach waits on
     // an operand, an older slot or a permission: only a completion,
     // a dispatch or a fetch can act before an external input.
     Cycle next = nextDoneAt();
     if (status_ == Status::kRunning) {
         if (fetched() > 0 && dispatched_ < config_.windowSize)
-            next = soon;  // dispatch
+            return soon;  // dispatch
         if (fetchEnabled_ && !awaitRedirect_ &&
             fetched() + config_.issueWidth <= config_.fetchBufferSize)
             next = std::min(next, pendingFetchReady_ != 0
                                       ? pendingFetchReady_
                                       : soon);
     }
-    wakeAt_ = next;
-    // The one context answer a stalled unit reads: the permission of
-    // an un-issued syscall at the window head.
-    if (dispatched_ > 0 && !q_.front().issued &&
-        q_.front().inst->opClass == InstClass::kSyscall) {
-        pollSyscall_ = true;
-        syscallAllowed_ = ctx_.syscallAllowed(id_);
+    return next;
+}
+
+void
+ProcessingUnit::describeOldest(std::ostream &os) const
+{
+    if (dispatched_ == 0) {
+        os << "window empty";
+        return;
     }
+    const Slot &slot = q_.front();
+    os << "oldest " << isa::opInfo(slot.inst->op).mnemonic;
+    if (slot.issued)
+        os << " due @" << slot.doneAt;
+    else
+        os << " unissued";
 }
 
 void
@@ -729,36 +731,28 @@ ProcessingUnit::traceOccupancy(Cycle now, unsigned issued)
     }
 }
 
-void
+Cycle
 ProcessingUnit::tick(Cycle now)
 {
-    if (status_ == Status::kFree) {
-        activity_ = false;
-        return;
-    }
-    if (!activity_ && now < wakeAt_ && !syscallFlipped()) {
-        // Asleep: nothing changed since the last, inert tick and no
-        // event is due, so a full tick would classify the cycle as
-        // the same stall: the accounting run it opened stays open.
-        traceOccupancy(now, 0);
-        return;
-    }
+    if (status_ == Status::kFree)
+        return kCycleNever;
     activity_ = false;
     fuAccepts_.fill(0);
     completePhase(now);
     unsigned issued = 0;
     bool saw_ready = false;
+    size_t unissued = 0;
     if (status_ == Status::kRunning || status_ == Status::kExited)
-        issued = issuePhase(now, saw_ready);
+        issued = issuePhase(now, saw_ready, unissued);
     if (issued > 0)
         activity_ = true;
     dispatchPhase();
     fetchPhase(now);
     autoReleasePhase();
     if (acct_)
-        acct_->record(id_, classifyCycle(issued), now);
-    scheduleWake(now, saw_ready);
+        acct_->record(id_, classifyCycle(issued, unissued), now);
     traceOccupancy(now, issued);
+    return dueAfter(now, saw_ready);
 }
 
 } // namespace msim

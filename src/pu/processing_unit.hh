@@ -35,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/fifo.hh"
@@ -94,39 +95,22 @@ class ProcessingUnit
                     const TaskSeq *expected_producers = nullptr);
 
     /**
-     * Advance one cycle. A full tick records the cycle's category in
-     * the accounting, which keeps it until a tick records another. A
-     * tick that changes nothing puts the unit to sleep until its next
-     * event: later ticks only emit the same trace sample, and their
-     * cycles extend the open accounting run, until that cycle comes
-     * or an external input arrives. The inputs that end a sleep are a
-     * ring delivery, assignTask(), flush(), retire() and a change in
-     * the permission of an un-issued syscall at the window head, which
-     * a sleeping unit re-polls. See DESIGN.md "Quiescence &
-     * fast-forward".
-     */
-    void tick(Cycle now);
-
-    /**
-     * The earliest cycle after @p now at which this unit's tick
-     * could do anything beyond sleeping in the same stall — i.e. the
-     * cycle its sleep ends, assuming no external input arrives in
-     * between. O(1) and side-effect free; call it after tick(now).
-     * Returns kCycleNever when only external input can wake the unit
-     * (or it is free).
+     * Advance one cycle, recording its category in the accounting,
+     * which keeps it until a later tick records another.
      *
-     * The run loop may skip straight to the minimum next event over
-     * all components; the skipped cycles extend the unit's open
-     * accounting run, so they need no bookkeeping.
+     * @return the cycle the unit is next due: now + 1 if this tick
+     * changed state, a ready slot retries (FU capacity or a full ARB)
+     * or an un-issued syscall at the window head re-polls its
+     * permission; else the first cycle a completion, a dispatch or a
+     * fetch can act; kCycleNever when only an external input can
+     * (or the unit is free). Ticks before that cycle would change
+     * nothing and classify the same stall, which the open accounting
+     * run already covers, so the caller may skip them. The external
+     * inputs, after which the unit is due at once, are an accepted
+     * deliverForward() and assignTask(); flush() and retire() free
+     * it. See DESIGN.md "Quiescence & fast-forward".
      */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * @return true when the last tick changed no unit state (and no
-     * external call — delivery, assignment, squash — arrived since):
-     * the unit is asleep until nextEventCycle().
-     */
-    bool quiescentLastTick() const { return !activity_; }
+    Cycle tick(Cycle now);
 
     /**
      * Squash: discard all task state.
@@ -140,8 +124,11 @@ class ProcessingUnit
      */
     std::uint64_t retire();
 
-    /** A register value arriving over the ring from @p producer. */
-    void deliverForward(RegIndex reg, isa::RegValue value,
+    /**
+     * A register value arriving over the ring from @p producer.
+     * @return true if it satisfied a reservation (the unit is due).
+     */
+    bool deliverForward(RegIndex reg, isa::RegValue value,
                         TaskSeq producer);
 
     /**
@@ -191,6 +178,13 @@ class ProcessingUnit
 
     /** Instructions the task in flight has executed so far. */
     std::uint64_t taskInstructions() const { return taskInstructions_; }
+
+    /**
+     * Write the oldest window slot for the watchdog dump: "oldest lw
+     * due @<cycle>" when issued, "oldest lw unissued" when not, or
+     * "window empty".
+     */
+    void describeOldest(std::ostream &os) const;
 
   private:
     /** Per-register scoreboard state. */
@@ -249,15 +243,15 @@ class ProcessingUnit
 
     // --- tick phases -------------------------------------------------
     void completePhase(Cycle now);
-    unsigned issuePhase(Cycle now, bool &saw_ready);
+    unsigned issuePhase(Cycle now, bool &saw_ready, size_t &unissued);
     void dispatchPhase();
     void fetchPhase(Cycle now);
     void autoReleasePhase();  //!< exited and drained: release, finish
-    void scheduleWake(Cycle now, bool saw_ready);
+    Cycle dueAfter(Cycle now, bool saw_ready) const;
     void traceOccupancy(Cycle now, unsigned issued);
 
     // --- helpers -----------------------------------------------------
-    CycleCat classifyCycle(unsigned issued_count) const;
+    CycleCat classifyCycle(unsigned issued_count, size_t unissued) const;
     bool memOpInFlight() const;
     isa::RegValue regRead(RegIndex reg) const;
     bool slotReady(const Slot &slot, size_t index,
@@ -279,7 +273,6 @@ class ProcessingUnit
     }
     /** Entries fetched but not yet dispatched. */
     size_t fetched() const { return q_.size() - dispatched_; }
-    bool syscallFlipped() const;
 
     /** This unit's counters, bound once in its stat group. */
     struct Counters
@@ -359,18 +352,11 @@ class ProcessingUnit
     bool awaitRedirect_ = false;   //!< jr/jalr target pending
     Cycle pendingFetchReady_ = 0;  //!< icache miss outstanding
     /**
-     * Did the last tick (or any external call since) change unit
-     * state? If not, the unit sleeps until wakeAt_, and the run loop
-     * may fast-forward once every unit sleeps. Purely a performance
-     * gate: sleeping less never changes observable timing.
+     * Has the current tick changed unit state? If not, the tick is
+     * due again only at its next event (dueAfter). Purely a
+     * performance gate: being due too early never changes timing.
      */
-    bool activity_ = true;
-    /** The cycle the unit can next act; set at the end of every tick. */
-    Cycle wakeAt_ = 0;
-    /** The head is an un-issued syscall: re-poll its permission. */
-    bool pollSyscall_ = false;
-    /** That permission when the unit went to sleep. */
-    bool syscallAllowed_ = false;
+    bool activity_ = false;
     /** Per-cycle acceptance counters of the pipelined FUs. */
     std::array<unsigned, size_t(isa::FuKind::kNumFuKinds)> fuAccepts_{};
 

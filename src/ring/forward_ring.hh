@@ -17,6 +17,8 @@
 #ifndef MSIM_RING_FORWARD_RING_HH
 #define MSIM_RING_FORWARD_RING_HH
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/fifo.hh"
@@ -49,7 +51,8 @@ class ForwardRing
           hopLatency_(hop_latency), tracer_(tracer),
           outbound_(num_units), inFlight_(num_units)
     {
-        fatalIf(num_units == 0, "ring needs at least one unit");
+        fatalIf(num_units == 0 || num_units > 64,
+                "ring needs 1 to 64 units");
         fatalIf(width == 0, "ring width must be positive");
         fatalIf(hop_latency == 0, "ring hop latency must be >= 1");
     }
@@ -59,17 +62,23 @@ class ForwardRing
     send(unsigned from_unit, const RingMessage &msg)
     {
         panicIf(from_unit >= numUnits_, "ring send from bad unit");
-        outbound_[from_unit].push_back(msg);
         ++stats_.sends;
         if (tracer_ && tracer_->wants(TraceCat::kRing)) {
             tracer_->instant(TraceCat::kRing, "forward", tracer_->now(),
                              kTidRing, "from", from_unit, "reg",
                              std::uint64_t(msg.reg));
         }
+        if (numUnits_ == 1)
+            return;  // no other unit to visit
+        outbound_[from_unit].push_back(msg);
+        busyPorts_ |= bit(from_unit);
     }
 
     /**
-     * Advance the ring one cycle.
+     * Advance the ring to cycle @p now: deliver the hops that arrive
+     * now, then launch up to `width` messages per outbound port. Only
+     * busy ports and links are visited, and an idle ring returns at
+     * once.
      *
      * @param deliver Callback (unsigned unit, const RingMessage &)
      *        -> bool; invoked for each message arriving at a unit;
@@ -78,56 +87,47 @@ class ForwardRing
      */
     template <typename Fn>
     void
-    tick(Fn &&deliver)
+    tick(Cycle now, Fn &&deliver)
     {
-        if (numUnits_ == 1) {
-            for (auto &q : outbound_)
-                q.clear();
+        if ((busyPorts_ | busyLinks_) == 0)
             return;
-        }
-        // Age in-flight messages and deliver the ones that arrive.
-        for (unsigned u = 0; u < numUnits_; ++u) {
+        // A link's hops all take hopLatency_ cycles and leave in
+        // order, so the ones arriving now are at its front.
+        for (std::uint64_t m = busyLinks_; m != 0; m &= m - 1) {
+            const unsigned u = unsigned(std::countr_zero(m));
             auto &flight = inFlight_[u];
-            size_t n = flight.size();
-            for (size_t i = 0; i < n; ++i) {
-                Hop hop = flight.front();
+            const unsigned dest = u + 1 == numUnits_ ? 0 : u + 1;
+            while (!flight.empty() && flight.front().arriveAt <= now) {
+                RingMessage msg = flight.front().msg;
                 flight.pop_front();
-                if (--hop.cyclesLeft > 0) {
-                    flight.push_back(hop);
-                    continue;
-                }
-                const unsigned dest = (u + 1) % numUnits_;
-                RingMessage msg = hop.msg;
                 msg.hops += 1;
                 ++stats_.deliveries;
-                bool forward_on = deliver(dest, msg);
-                if (forward_on && msg.hops < numUnits_ - 1)
+                const bool forward_on = deliver(dest, msg);
+                if (forward_on && msg.hops < numUnits_ - 1) {
                     outbound_[dest].push_back(msg);
+                    busyPorts_ |= bit(dest);
+                }
             }
+            if (flight.empty())
+                busyLinks_ &= ~bit(u);
         }
-        // Launch up to `width` messages per outbound port.
-        for (unsigned u = 0; u < numUnits_; ++u) {
-            for (unsigned k = 0; k < width_ && !outbound_[u].empty();
-                 ++k) {
-                inFlight_[u].push_back(
-                    {outbound_[u].front(), hopLatency_});
-                outbound_[u].pop_front();
+        for (std::uint64_t m = busyPorts_; m != 0; m &= m - 1) {
+            const unsigned u = unsigned(std::countr_zero(m));
+            auto &port = outbound_[u];
+            for (unsigned k = 0; k < width_ && !port.empty(); ++k) {
+                inFlight_[u].push_back({port.front(), now + hopLatency_});
+                port.pop_front();
             }
-            if (!outbound_[u].empty())
+            busyLinks_ |= bit(u);
+            if (port.empty())
+                busyPorts_ &= ~bit(u);
+            else
                 ++stats_.portStallCycles;
         }
     }
 
     /** @return true when no messages are queued or in flight. */
-    bool
-    idle() const
-    {
-        for (unsigned u = 0; u < numUnits_; ++u) {
-            if (!outbound_[u].empty() || !inFlight_[u].empty())
-                return false;
-        }
-        return true;
-    }
+    bool idle() const { return (busyPorts_ | busyLinks_) == 0; }
 
     /** Drop all traffic (used on full-pipeline resets in tests). */
     void
@@ -137,6 +137,7 @@ class ForwardRing
             q.clear();
         for (auto &q : inFlight_)
             q.clear();
+        busyPorts_ = busyLinks_ = 0;
     }
 
     unsigned numUnits() const { return numUnits_; }
@@ -146,8 +147,10 @@ class ForwardRing
     struct Hop
     {
         RingMessage msg;
-        unsigned cyclesLeft;
+        Cycle arriveAt;
     };
+
+    static std::uint64_t bit(unsigned u) { return std::uint64_t(1) << u; }
 
     /** Counters bound once in the ring's stat group. */
     struct Counters
@@ -167,6 +170,9 @@ class ForwardRing
     std::vector<RingFifo<RingMessage>> outbound_;
     /** Messages traversing the link out of each unit. */
     std::vector<RingFifo<Hop>> inFlight_;
+    /** Bit u: outbound_[u] (a port) or inFlight_[u] (a link) is busy. */
+    std::uint64_t busyPorts_ = 0;
+    std::uint64_t busyLinks_ = 0;
 };
 
 } // namespace msim

@@ -438,5 +438,31 @@ TEST(AsmErrors, OperandsOutsideTheirFields)
               "fatal: misaligned jump target");
 }
 
+TEST(AsmErrors, WideImmediatesDoNotWrap)
+{
+    // The range check sees the whole 64-bit value, so bits above the
+    // low 32 cannot fall away and leave a small, valid immediate.
+    EXPECT_EQ(asmError(".text\nmain: addiu $1, $2, 0x100000005\n"),
+              "fatal: <asm>:2: immediate 4294967301 out of range");
+    EXPECT_EQ(asmError(".text\nmain: lw $1, 0x100000008($2)\n"),
+              "fatal: <asm>:2: immediate 4294967304 out of range");
+    EXPECT_EQ(asmError(".text\nmain: ori $1, $2, 0xffffffff\n"),
+              "fatal: <asm>:2: immediate 4294967295 out of range");
+}
+
+TEST(AsmErrors, LuiTakesAnUnsigned16BitImmediate)
+{
+    EXPECT_EQ(asmError(".text\nmain: lui $1, 0x12345\n"),
+              "fatal: immediate 74565 out of unsigned 16-bit range in "
+              "lui");
+    EXPECT_EQ(asmError(".text\nmain: lui $1, -1\n"),
+              "fatal: immediate -1 out of unsigned 16-bit range in lui");
+    assembler::AsmOptions opts;
+    opts.multiscalar = false;
+    const Program prog =
+        assembler::assemble(".text\nmain: lui $1, 0xffff\n", opts);
+    EXPECT_EQ(prog.code.at(0).imm, 0xffff);
+}
+
 } // namespace
 } // namespace msim

@@ -420,22 +420,27 @@ deadlockOf(F &&body)
     return DeadlockError("", 0, "");
 }
 
-/** @return the watchdog's dump line for a task starting at @p start. */
+/**
+ * @return the watchdog's dump line for a running task starting at
+ * @p start that has not sent @p unsent and whose oldest slot is
+ * described by @p oldest.
+ */
 std::string
 stuckUnitLine(unsigned unit, TaskSeq seq, Addr start,
-              const std::string &awaiting)
+              const std::string &unsent, const std::string &oldest)
 {
     std::ostringstream os;
     os << "\n  unit " << unit << " seq " << seq << " task@0x" << std::hex
        << start << std::dec << " status "
-       << int(ProcessingUnit::Status::kRunning) << " awaiting {"
-       << awaiting << "}";
+       << int(ProcessingUnit::Status::kRunning) << " unsent {" << unsent
+       << "} " << oldest;
     return os.str();
 }
 
-// Both watchdog tests jump off the text segment: fetch stops, so no
-// component has a next event (fast-forward sees kCycleNever and falls
-// back to stepping) and only the no-progress watchdog ends the run.
+// Both watchdog tests jump off the text segment: fetch stops and the
+// window drains, so no component has a next event (fast-forward jumps
+// straight to the watchdog's cycle) and only the no-progress watchdog
+// ends the run.
 
 TEST(Core, ScalarWatchdogDumpsTheStalledUnit)
 {
@@ -448,7 +453,7 @@ main:   lui  $8, 0x7000
     )", opts);
     ScalarProcessor proc(prog, ScalarConfig{});
     const DeadlockError e = deadlockOf([&] { proc.run(1'000'000); });
-    EXPECT_EQ(e.state, stuckUnitLine(0, 0, prog.entry, ""));
+    EXPECT_EQ(e.state, stuckUnitLine(0, 0, prog.entry, "", "window empty"));
     EXPECT_EQ(std::string(e.what()),
               "fatal: scalar processor made no progress for 100000 "
               "cycles (deadlock?). State:" + e.state);
@@ -471,12 +476,47 @@ main:   lui  $8, 0x7000
     )");
     MultiscalarProcessor proc(prog, MsConfig{});
     const DeadlockError e = deadlockOf([&] { proc.run(1'000'000); });
-    EXPECT_EQ(e.state, stuckUnitLine(0, 1, prog.entry, "$9"));
+    EXPECT_EQ(e.state, stuckUnitLine(0, 1, prog.entry, "$9", "window empty"));
     EXPECT_EQ(std::string(e.what()),
               "fatal: multiscalar processor made no progress for "
               "100000 cycles (deadlock?). State:" + e.state);
     EXPECT_GT(e.cycle, kWatchdogCycles);
     EXPECT_LT(e.cycle, kWatchdogCycles + 100);
+}
+
+TEST(Core, FastForwardStopsAtTheWatchdog)
+{
+    // On this shape sc stops making progress: squashes on a full ARB
+    // leave the bus booked far ahead, and every unit's oldest slot is
+    // a load due ~55k cycles after the watchdog fires. Fast-forward
+    // must not jump past that cycle to the loads' completion.
+    MsConfig cfg;
+    cfg.numUnits = 3;
+    cfg.pu.issueWidth = 2;
+    cfg.ringHopLatency = 2;
+    cfg.bankSizeBytes = 256;
+    cfg.arbEntriesPerBank = 5;
+    cfg.arbFullPolicy = ArbFullPolicy::kSquash;
+    const auto compiled = compileWorkload("sc", /*multiscalar=*/true);
+    auto deadlock = [&](bool fast_forward) {
+        MsConfig c = cfg;
+        c.fastForward = fast_forward;
+        MultiscalarProcessor proc(compiled->program, c);
+        if (compiled->workload.init)
+            compiled->workload.init(proc.memory(), compiled->program);
+        proc.setInput(compiled->workload.input);
+        return deadlockOf([&] { proc.run(50'000'000); });
+    };
+    const DeadlockError on = deadlock(true);
+    const DeadlockError off = deadlock(false);
+    EXPECT_EQ(off.cycle, 403712u);
+    EXPECT_EQ(on.cycle, off.cycle);
+    EXPECT_EQ(on.state, off.state);
+    const Addr task = 0x400020;
+    EXPECT_EQ(off.state,
+              stuckUnitLine(2, 24200, task, "$19", "oldest lw due @459497") +
+              stuckUnitLine(0, 24201, task, "$19", "oldest lw due @459445") +
+              stuckUnitLine(1, 24202, task, "$19", "oldest lw due @459471"));
 }
 
 TEST(Core, InvalidConfigFailsAtConstruction)

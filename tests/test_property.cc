@@ -31,11 +31,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,6 +47,7 @@
 #include "common/rng.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
+#include "sim/compiled_workload.hh"
 #include "sim/reference.hh"
 
 namespace msim {
@@ -687,6 +690,163 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgram,
                          ::testing::Range(0, 200));
+
+/*
+ * Shape space: every MsConfig that validate() accepts must run, and
+ * fast-forward must be exact on it. Each case draws a seeded random
+ * shape (units, issue, window, fetch buffer, ring latency, caches,
+ * ARB size and full policy, predictor, bus, an optional L2) and runs
+ * one small workload with fast-forward on and off. The two runs must
+ * agree on cycles, output and the eight accounting totals, or throw
+ * the same DeadlockError (cycle and dump); a PanicError fails the
+ * case, and a run that exits must print the expected output.
+ */
+
+/** A shape and the workload it runs. */
+struct ShapeCase
+{
+    std::string name;
+    MsConfig cfg;
+    const char *workload;
+};
+
+/** @return a random shape that validates, drawn from @p rng. */
+MsConfig
+randomShape(Rng &rng)
+{
+    MsConfig c;
+    c.numUnits = unsigned(rng.range(1, 12));
+    c.pu.issueWidth = unsigned(rng.range(1, 2));
+    c.pu.outOfOrder = rng.below(2) == 0;
+    c.pu.windowSize = unsigned(rng.range(1, 24));
+    c.pu.fetchBufferSize = unsigned(rng.range(c.pu.issueWidth, 12));
+    c.pu.intraBranchPredict = rng.below(2) == 0;
+    c.ringHopLatency = unsigned(rng.range(1, 4));
+    c.icache.sizeBytes = std::size_t(1) << rng.range(7, 15);
+    c.numBanks = rng.below(2) == 0 ? 0 : unsigned(1) << rng.range(0, 4);
+    c.bankSizeBytes = std::size_t(1) << rng.range(7, 13);
+    c.arbEntriesPerBank =
+        rng.below(3) == 0 ? 256 : unsigned(rng.range(1, 8));
+    c.arbFullPolicy = rng.below(2) == 0 ? ArbFullPolicy::kSquash
+                                        : ArbFullPolicy::kStall;
+    c.predictor = std::array{"pas", "last", "static"}[rng.below(3)];
+    c.rasEntries = unsigned(rng.range(1, 64));
+    c.descCacheEntries = unsigned(1) << rng.range(0, 10);
+    c.bus.firstBeatLatency = unsigned(rng.range(1, 100));
+    if (rng.below(4) == 0) {
+        L2Params l2;
+        l2.numBanks = unsigned(1) << rng.range(0, 2);
+        l2.assoc = unsigned(1) << rng.range(0, 2);
+        l2.mshrsPerBank = unsigned(rng.range(1, 4));
+        l2.sizeBytes = l2.numBanks * l2.assoc * 64 *
+                       (std::size_t(1) << rng.range(2, 8));
+        l2.inclusion = std::array{L2Inclusion::kNine,
+                                  L2Inclusion::kInclusive,
+                                  L2Inclusion::kExclusive}[rng.below(3)];
+        c.l2 = l2;
+    }
+    c.validate();
+    return c;
+}
+
+/** The pinned rows, then kRandomShapes seeded random ones. */
+const std::vector<ShapeCase> &
+shapeCases()
+{
+    constexpr int kRandomShapes = 48;
+    static const std::vector<ShapeCase> cases = [] {
+        std::vector<ShapeCase> out;
+        // Every unit's oldest slot is a load due ~155k cycles later:
+        // fast-forward once jumped past the watchdog and finished.
+        MsConfig sc;
+        sc.numUnits = 3;
+        sc.pu.issueWidth = 2;
+        sc.ringHopLatency = 2;
+        sc.bankSizeBytes = 256;
+        sc.arbEntriesPerBank = 5;
+        sc.arbFullPolicy = ArbFullPolicy::kSquash;
+        out.push_back({"sc_arb5_squash", sc, "sc"});
+        const std::array workloads{"wc", "cmp", "eqntott", "sc", "xlisp"};
+        for (int seed = 0; seed < kRandomShapes; ++seed) {
+            Rng rng(0x5ba9e + std::uint64_t(seed));
+            const MsConfig cfg = randomShape(rng);
+            out.push_back({"seed" + std::to_string(seed), cfg,
+                           workloads[rng.below(workloads.size())]});
+        }
+        return out;
+    }();
+    return cases;
+}
+
+/** How one run of a shape ended. */
+struct ShapeOutcome
+{
+    RunResult result;
+    /** Set when the watchdog fired: its cycle and dump. */
+    std::optional<DeadlockError> deadlock;
+};
+
+ShapeOutcome
+runShape(const CompiledWorkload &compiled, const MsConfig &cfg)
+{
+    MultiscalarProcessor proc(compiled.program, cfg);
+    if (compiled.workload.init)
+        compiled.workload.init(proc.memory(), compiled.program);
+    proc.setInput(compiled.workload.input);
+    ShapeOutcome out;
+    try {
+        out.result = proc.run(500'000);
+    } catch (const DeadlockError &e) {
+        out.deadlock = e;
+    }
+    return out;
+}
+
+class ShapeSpace : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(ShapeSpace, FastForwardIsExact)
+{
+    const ShapeCase &sc = shapeCases().at(GetParam());
+    SCOPED_TRACE(sc.name + " " + sc.workload + " on " +
+                 std::to_string(sc.cfg.numUnits) + " units");
+    const auto compiled = compileWorkload(sc.workload, /*multiscalar=*/true);
+    MsConfig off_cfg = sc.cfg;
+    off_cfg.fastForward = false;
+    const ShapeOutcome on = runShape(*compiled, sc.cfg);
+    const ShapeOutcome off = runShape(*compiled, off_cfg);
+    std::printf("[%s] %s: %s at cycle %llu\n", sc.name.c_str(),
+                sc.workload,
+                on.deadlock        ? "deadlock"
+                : on.result.exited ? "exit"
+                                   : "budget",
+                static_cast<unsigned long long>(
+                    on.deadlock ? on.deadlock->cycle : on.result.cycles));
+    ASSERT_EQ(bool(on.deadlock), bool(off.deadlock));
+    if (on.deadlock) {
+        EXPECT_EQ(on.deadlock->cycle, off.deadlock->cycle);
+        EXPECT_EQ(on.deadlock->state, off.deadlock->state);
+        return;
+    }
+    EXPECT_EQ(on.result.cycles, off.result.cycles);
+    EXPECT_EQ(on.result.output, off.result.output);
+    EXPECT_EQ(off.result.fastForwardedCycles, 0u);
+    for (size_t cat = 0; cat < kNumCycleCats; ++cat) {
+        EXPECT_EQ(on.result.accounting.total[cat],
+                  off.result.accounting.total[cat])
+            << cycleCatName(CycleCat(cat));
+    }
+    if (on.result.exited) {
+        EXPECT_EQ(on.result.output, compiled->workload.expected);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSpace,
+                         ::testing::Range(size_t(0), shapeCases().size()),
+                         [](const auto &info) {
+                             return shapeCases().at(info.param).name;
+                         });
 
 } // namespace
 } // namespace msim

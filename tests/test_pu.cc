@@ -134,8 +134,16 @@ struct Rig
     {
     }
 
-    /** Advance one cycle. */
-    void tick(Cycle now) { pu.tick(now); }
+    /** Advance one cycle, keeping the cycle the unit is next due. */
+    void
+    tick(Cycle now)
+    {
+        due = pu.tick(now);
+        last = now;
+    }
+
+    /** The last tick left the unit due later than the next cycle. */
+    bool asleep() const { return due > last + 1; }
 
     /**
      * Commit the task's runs and close the books after @p cycles
@@ -175,18 +183,18 @@ struct Rig
         return now;
     }
 
-    /** Tick until a tick changes unit state: the unit acts. */
+    /** Tick until a tick leaves the unit due next cycle. */
     Cycle
     tickUntilActive(Cycle from)
     {
-        return tickUntil(from, [&] { return !pu.quiescentLastTick(); });
+        return tickUntil(from, [&] { return !asleep(); });
     }
 
-    /** Tick until a tick changes nothing: the unit has stalled. */
+    /** Tick until a tick leaves the unit asleep. */
     Cycle
-    tickUntilStalled(Cycle from)
+    tickUntilAsleep(Cycle from)
     {
-        return tickUntil(from, [&] { return pu.quiescentLastTick(); });
+        return tickUntil(from, [&] { return asleep(); });
     }
 
     Cycle
@@ -220,6 +228,8 @@ struct Rig
     MockContext ctx;
     CycleAccounting acct{1};
     ProcessingUnit pu;
+    Cycle due = 0;
+    Cycle last = 0;
 };
 
 TEST(Pu, StraightLineExecutesAndExits)
@@ -490,11 +500,13 @@ main:   addu $8, $20, 0
     rig.pu.assignTask(8, rig.ctx.prog_.entry, RegMask{}, busy,
                       regs.data(), producers.data());
     // A stale message from producer 3 must not satisfy it.
-    rig.pu.deliverForward(isa::intReg(20), RegValue::fromWord(999), 3);
+    EXPECT_FALSE(rig.pu.deliverForward(isa::intReg(20),
+                                       RegValue::fromWord(999), 3));
     for (Cycle now = 0; now < 20; ++now)
         rig.tick(now);
     EXPECT_EQ(rig.pu.taskInstructions(), 0u);
-    rig.pu.deliverForward(isa::intReg(20), RegValue::fromWord(5), 7);
+    EXPECT_TRUE(rig.pu.deliverForward(isa::intReg(20),
+                                      RegValue::fromWord(5), 7));
     for (Cycle now = 20; now < 60; ++now)
         rig.tick(now);
     EXPECT_TRUE(rig.pu.isDone());
@@ -555,7 +567,7 @@ main:   li   $8, 1
         rig.tick(now);
     EXPECT_EQ(rig.ctx.storeCount, 0u);
     rig.ctx.memSpace = true;
-    EXPECT_LT(rig.runUntilDone(), 2000u);
+    EXPECT_LT(rig.tickUntilDone(50), 2000u);
     EXPECT_EQ(rig.ctx.storeCount, 1u);
 }
 
@@ -715,9 +727,10 @@ TEST(PuScoreboard, MemoryOpWaitsForOlderMemoryOp)
 
 /*
  * Wake sources: a stalled unit changes nothing until one of these
- * arrives. Each test pins the cycle at which the unit next acts, what
- * nextEventCycle() predicts for it (the fast-forward target), and the
- * category every stalled cycle is charged to.
+ * arrives, so the core need not tick it before then. Each test pins
+ * the cycle at which the unit next acts, the due cycle its ticks
+ * return (also the fast-forward target), and the category every
+ * stalled cycle is charged to.
  */
 
 TEST(PuWake, RingDeliveryToAReservedRegister)
@@ -730,19 +743,19 @@ main:   addu $8, $20, 1
         nop  !s
     )");
     rig.start(RegMask{}, RegMask{20}, producers);
-    const Cycle stalled = rig.tickUntilStalled(0);
+    const Cycle stalled = rig.tickUntilAsleep(0);
     EXPECT_EQ(stalled, 3u);
     // Only the ring can wake it.
-    EXPECT_EQ(rig.pu.nextEventCycle(stalled), kCycleNever);
+    EXPECT_EQ(rig.due, kCycleNever);
     for (Cycle now = stalled + 1; now < 40; ++now) {
         rig.tick(now);
-        EXPECT_TRUE(rig.pu.quiescentLastTick()) << now;
+        EXPECT_EQ(rig.due, kCycleNever) << now;
     }
     const CycleAccountingResult waited = rig.booksSoFar(40);
     EXPECT_EQ(waited[CycleCat::kRingWait], 39u);
     EXPECT_EQ(waited[CycleCat::kFetchStall], 1u);
-    rig.pu.deliverForward(isa::intReg(20), RegValue::fromWord(100), 7);
-    EXPECT_FALSE(rig.pu.quiescentLastTick());
+    EXPECT_TRUE(rig.pu.deliverForward(isa::intReg(20),
+                                      RegValue::fromWord(100), 7));
     EXPECT_EQ(rig.tickUntilActive(40), 40u);
     EXPECT_LT(rig.tickUntilDone(41), 2000u);
     EXPECT_EQ(rig.pu.regValues()[8].asWord(), 101u);
@@ -768,19 +781,19 @@ main:   lw   $8, 0x100($0)
         rig.ctx.dcacheLatency = p.latency;
         rig.ctx.memory[0x100] = 41;
         rig.start();
-        const Cycle stalled = rig.tickUntilStalled(0);
-        EXPECT_EQ(stalled, p.stalled) << p.latency;
-        const Cycle wake = rig.pu.nextEventCycle(stalled);
-        EXPECT_EQ(wake, p.acted) << p.latency;
-        for (Cycle now = stalled + 1; now < wake; ++now) {
+        for (Cycle now = 0; now <= p.stalled; ++now)
             rig.tick(now);
-            EXPECT_TRUE(rig.pu.quiescentLastTick()) << now;
+        // Every tick from the stall on names the completion.
+        for (Cycle now = p.stalled + 1; now < p.acted; ++now) {
+            EXPECT_EQ(rig.due, p.acted) << p.latency << " " << now;
+            rig.tick(now);
         }
+        EXPECT_EQ(rig.due, p.acted) << p.latency;
         // Every stalled cycle waits on memory.
-        EXPECT_EQ(rig.booksSoFar(wake)[CycleCat::kMemWait], p.memWait)
+        EXPECT_EQ(rig.booksSoFar(p.acted)[CycleCat::kMemWait], p.memWait)
             << p.latency;
-        EXPECT_EQ(rig.tickUntilActive(wake), wake) << p.latency;
-        EXPECT_LT(rig.tickUntilDone(wake + 1), 2000u);
+        EXPECT_EQ(rig.tickUntilActive(p.acted), p.acted) << p.latency;
+        EXPECT_LT(rig.tickUntilDone(p.acted + 1), 2000u);
         EXPECT_EQ(rig.pu.regValues()[9].asWord(), 42u);
     }
 }
@@ -796,21 +809,21 @@ main:   li   $2, 1
     )");
     rig.ctx.allowSyscall = false;
     rig.start();
-    const Cycle stalled = rig.tickUntilStalled(0);
-    EXPECT_EQ(stalled, 5u);
-    EXPECT_EQ(rig.pu.nextEventCycle(stalled), kCycleNever);
-    const Cycle flip = stalled + 50;
-    for (Cycle now = stalled + 1; now < flip; ++now) {
+    // From cycle 5 the syscall waits at the window head, and the unit
+    // stays due every cycle to re-poll its permission.
+    const Cycle flip = 55;
+    for (Cycle now = 0; now < flip; ++now) {
         rig.tick(now);
-        EXPECT_TRUE(rig.pu.quiescentLastTick()) << now;
+        if (now >= 5) {
+            EXPECT_EQ(rig.due, now + 1) << now;
+        }
     }
     const CycleAccountingResult waited = rig.booksSoFar(flip);
     EXPECT_EQ(waited[CycleCat::kIntraWait], 52u);
     EXPECT_EQ(rig.ctx.syscallCount, 0u);
     // No call into the unit: it must notice the flip on its own.
     rig.ctx.allowSyscall = true;
-    EXPECT_EQ(rig.pu.nextEventCycle(flip - 1), flip);
-    EXPECT_EQ(rig.tickUntilActive(flip), flip);
+    rig.tick(flip);
     EXPECT_EQ(rig.ctx.syscallCount, 1u);
 }
 
@@ -824,22 +837,75 @@ main:   li   $8, 1
     )");
     rig.ctx.memSpace = false;
     rig.start();
-    const Cycle stalled = rig.tickUntilStalled(0);
-    EXPECT_EQ(stalled, 4u);
+    const Cycle stalled = 4;
+    for (Cycle now = 0; now <= stalled; ++now)
+        rig.tick(now);
     const unsigned queries = rig.ctx.memSpaceQueries;
     EXPECT_EQ(queries, 2u);
     // A full ARB may drain at any time: the unit never sleeps.
     for (Cycle now = stalled + 1; now < 50; ++now) {
-        EXPECT_EQ(rig.pu.nextEventCycle(now - 1), now);
+        EXPECT_EQ(rig.due, now);
         rig.tick(now);
-        EXPECT_TRUE(rig.pu.quiescentLastTick()) << now;
         EXPECT_EQ(rig.ctx.memSpaceQueries, queries + (now - stalled));
     }
     const CycleAccountingResult waited = rig.booksSoFar(50);
     EXPECT_EQ(waited[CycleCat::kMemWait], 47u);
     rig.ctx.memSpace = true;
-    EXPECT_EQ(rig.tickUntilActive(50), 50u);
+    rig.tick(50);
     EXPECT_EQ(rig.ctx.storeCount, 1u);
+}
+
+/** Tick @p rig only in the cycles it is due; @return the done cycle. */
+Cycle
+tickWhenDue(Rig &rig)
+{
+    for (Cycle now = 0; now < 2000; ++now) {
+        if (rig.due > now)
+            continue;
+        rig.tick(now);
+        if (rig.pu.isDone())
+            return now;
+    }
+    return 2000;
+}
+
+TEST(PuWake, TickingOnlyWhenDueMatchesEveryCycle)
+{
+    // The core skips a unit's ticks until it is due: the skipped
+    // ticks would have changed nothing, so the unit finishes in the
+    // same cycle with the same books and registers.
+    PuConfig ooo;
+    ooo.outOfOrder = true;
+    for (unsigned latency : {2u, 5u, 17u, 40u})
+    for (const PuConfig &config : {PuConfig{}, ooo}) {
+        const char *src = R"(
+        .text
+main:   lw   $8, 0x100($0)
+        addu $9, $8, 1
+        mul  $10, $9, $9
+        lw   $11, 0x104($0)
+        addu $12, $11, $10
+        nop  !s
+    )";
+        Rig every(src, config);
+        Rig due(src, config);
+        for (Rig *rig : {&every, &due}) {
+            rig->ctx.dcacheLatency = latency;
+            rig->ctx.memory[0x100] = 41;
+            rig->start();
+        }
+        const Cycle done = every.runUntilDone();
+        EXPECT_LT(done, 2000u) << latency;
+        EXPECT_EQ(tickWhenDue(due), done) << latency;
+        EXPECT_EQ(due.pu.regValues()[12].asWord(),
+                  every.pu.regValues()[12].asWord())
+            << latency;
+        const CycleAccountingResult a = every.closeBooks(done + 1);
+        const CycleAccountingResult b = due.closeBooks(done + 1);
+        for (size_t cat = 0; cat < kNumCycleCats; ++cat)
+            EXPECT_EQ(a.total[cat], b.total[cat])
+                << latency << " " << cycleCatName(CycleCat(cat));
+    }
 }
 
 /*
@@ -884,10 +950,10 @@ TEST(PuQueue, FullFetchBufferStopsFetch)
     std::array<TaskSeq, kNumRegs> producers{};
     producers[20] = 7;
     rig.start(RegMask{}, RegMask{20}, producers);
-    const Cycle stalled = rig.tickUntilStalled(0);
+    const Cycle stalled = rig.tickUntilAsleep(0);
     EXPECT_EQ(stalled, 18u);
     EXPECT_EQ(rig.ctx.icacheAccesses, 18u);
-    EXPECT_EQ(rig.pu.nextEventCycle(stalled), kCycleNever);
+    EXPECT_EQ(rig.due, kCycleNever);
     for (Cycle now = stalled + 1; now < 40; ++now)
         rig.tick(now);
     EXPECT_EQ(rig.ctx.icacheAccesses, 18u);

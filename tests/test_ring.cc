@@ -32,7 +32,7 @@ drive(ForwardRing &ring, unsigned cycles,
 {
     std::vector<Delivery> log;
     for (Cycle c = 0; c < cycles; ++c) {
-        ring.tick([&](unsigned unit, const RingMessage &msg) {
+        ring.tick(c, [&](unsigned unit, const RingMessage &msg) {
             log.push_back({c, unit, msg.reg, msg.producer});
             return sink(unit, msg);
         });
@@ -148,7 +148,7 @@ TEST(Ring, ClearDropsEverything)
     StatRegistry stats;
     ForwardRing ring(stats.group("ring"), 4, 1, 1);
     ring.send(0, msg(1, 1));
-    ring.tick([](unsigned, const RingMessage &) { return true; });
+    ring.tick(0, [](unsigned, const RingMessage &) { return true; });
     ring.clear();
     EXPECT_TRUE(ring.idle());
 }

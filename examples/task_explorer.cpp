@@ -16,7 +16,8 @@
  *   --intra-bp          enable the per-unit bimodal branch predictor
  *   --define NAME       assemble a workload variant (repeatable)
  *   --stats             dump every machine counter
- *   --lint              validate the task annotations and exit
+ *   --lint              run the annotation verifier and exit (status 1
+ *                       on any error)
  *   --dot               print the task graph in Graphviz dot form
  *   --list              list available workloads
  */
@@ -25,10 +26,10 @@
 #include <cstring>
 #include <string>
 
+#include "analysis/verifier.hh"
 #include "common/logging.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
-#include "program/task_graph.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
 
@@ -118,18 +119,17 @@ main(int argc, char **argv)
         Program prog =
             assembleWorkload(w, spec.multiscalar, spec.defines);
         if (lint_only || dot_only) {
-            TaskGraph graph(prog);
-            if (dot_only)
-                std::printf("%s", graph.toDot().c_str());
-            const auto issues = graph.validate();
-            for (const auto &issue : issues)
-                std::fprintf(stderr, "lint: %s\n",
-                             issue.message.c_str());
-            if (lint_only) {
-                std::printf("%zu task(s), %zu issue(s)\n",
-                            graph.nodes().size(), issues.size());
+            const analysis::AnnotationVerifier verifier(prog);
+            if (dot_only) {
+                std::printf("%s", analysis::toDot(verifier).c_str());
+                return 0;
             }
-            return issues.empty() ? 0 : 1;
+            const analysis::AnalysisReport report = verifier.verify();
+            if (report.diagnostics.empty())
+                std::printf("%s: clean (%u task(s))\n", name.c_str(),
+                            report.numTasks);
+            std::printf("%s", report.toText().c_str());
+            return report.hasErrors() ? 1 : 0;
         }
         RunResult r;
         std::string stats_text;

@@ -12,11 +12,12 @@
  * its returns go back to the right continuation — and condenses the
  * reachable states into basic blocks.
  *
- * The CFG is the shared substrate of the static tooling: TaskGraph
- * derives its per-task facts (exits, stop reachability, instruction
- * counts) from it, and the annotation verifier (verifier.hh) runs
- * bit-vector dataflow over its blocks. It replaces the two ad-hoc
- * walkers TaskGraph used to carry.
+ * The CFG is the shared substrate of the static tooling: the
+ * annotation verifier (verifier.hh) checks each task's exits, stop
+ * reachability and forward points against its descriptor and runs
+ * bit-vector dataflow over its blocks, and the memory-dependence
+ * analysis (mem_dep.hh) runs its address dataflow over the same
+ * blocks.
  */
 
 #ifndef MSIM_ANALYSIS_CFG_HH
@@ -29,7 +30,7 @@
 
 namespace msim::analysis {
 
-/** Exploration limits of the static walk (shared with TaskGraph). */
+/** Exploration limits of the static walk. */
 inline constexpr size_t kMaxWalkStates = 20000;
 inline constexpr size_t kMaxWalkCallDepth = 16;
 
@@ -56,7 +57,7 @@ struct CfgBlock
     /**
      * Control leaves the analyzable region without a stop: an
      * indirect call with no stop, or a return with no statically
-     * known caller. TaskGraph reports these as dynamic exits too.
+     * known caller. These count as dynamic exits too.
      */
     bool opaqueEnd = false;
     /**

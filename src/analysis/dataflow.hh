@@ -5,7 +5,7 @@
  * Facts are RegMask bit vectors (one bit per unified register); the
  * transfer function of a block is IN | GEN (the annotation analyses
  * have no kills — a written register stays written, a forwarded
- * register stays forwarded). Two meets cover all five passes:
+ * register stays forwarded). Two meets cover the verifier's dataflow problems:
  *
  *  - kMay (union): a fact holds if it holds on SOME path. Used for
  *    "may be forwarded by now" in the premature-forward pass.

@@ -198,38 +198,7 @@ MemDepAnalysis::MemDepAnalysis(const Program &prog,
                                const AnnotationVerifier &verifier)
     : prog_(prog), verifier_(verifier)
 {
-    for (const auto &[name, addr] : prog.symbols) {
-        if (!names_.count(addr))
-            names_[addr] = name;
-    }
-
-    // Task-graph successors, the same construction as the verifier:
-    // kCall targets walk to the callee, and every task with a kReturn
-    // target conservatively reaches every call continuation.
     const auto &facts = verifier_.allFacts();
-    std::set<Addr> continuations;
-    std::set<Addr> retTasks;
-    for (const auto &[addr, f] : facts) {
-        auto &out = succs_[addr];
-        for (const TaskTarget &t : f.desc->targets) {
-            if (t.spec == TargetSpec::kReturn) {
-                retTasks.insert(addr);
-                continue;
-            }
-            if (facts.count(t.addr))
-                out.push_back(t.addr);
-            if (t.spec == TargetSpec::kCall && facts.count(t.returnTo))
-                continuations.insert(t.returnTo);
-        }
-    }
-    for (Addr addr : retTasks) {
-        auto &out = succs_[addr];
-        out.insert(out.end(), continuations.begin(), continuations.end());
-    }
-    for (auto &[addr, out] : succs_) {
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
 
     // The CFG walker silently cuts call edges past its depth cap
     // (kMaxWalkCallDepth), leaving blocks with no successors that
@@ -263,13 +232,14 @@ MemDepAnalysis::MemDepAnalysis(const Program &prog,
             work.pop_front();
             if (!reachable_.insert(t).second)
                 continue;
-            for (Addr s : succs_.at(t))
+            for (Addr s : verifier_.successors(t))
                 work.push_back(s);
         }
     }
 
     // One-or-more-edge reachability per task (conflict pair scope).
-    for (const auto &[addr, out] : succs_) {
+    for (const auto &[addr, f] : facts) {
+        const std::vector<Addr> &out = verifier_.successors(addr);
         std::set<Addr> &seen = reachFrom_[addr];
         std::deque<Addr> work(out.begin(), out.end());
         while (!work.empty()) {
@@ -277,7 +247,7 @@ MemDepAnalysis::MemDepAnalysis(const Program &prog,
             work.pop_front();
             if (!seen.insert(t).second)
                 continue;
-            for (Addr s : succs_.at(t))
+            for (Addr s : verifier_.successors(t))
                 work.push_back(s);
         }
     }
@@ -319,7 +289,7 @@ MemDepAnalysis::MemDepAnalysis(const Program &prog,
                     }
                 }
             }
-            for (Addr s : succs_.at(t)) {
+            for (Addr s : verifier_.successors(t)) {
                 auto [it, inserted] = entryEnv_.try_emplace(s);
                 Env &sin = it->second;
                 bool changed = inserted;
@@ -654,37 +624,6 @@ MemDepAnalysis::violationPredicted(Addr store_task, Addr load_task,
     return se->storesCover(addr, size) && sl->mayLoad(addr, size);
 }
 
-std::string
-MemDepAnalysis::labelFor(Addr addr) const
-{
-    auto it = names_.find(addr);
-    if (it != names_.end())
-        return it->second;
-    std::ostringstream os;
-    os << "0x" << std::hex << addr;
-    return os.str();
-}
-
-Diagnostic
-MemDepAnalysis::makeDiag(PassId pass, Severity sev, Addr task, Addr pc,
-                         std::string message) const
-{
-    Diagnostic d;
-    d.pass = pass;
-    d.severity = sev;
-    d.task = task;
-    d.taskName = labelFor(task);
-    d.pc = pc;
-    d.file = prog_.sourceName;
-    if (pc != 0) {
-        d.line = prog_.lineOf(pc);
-    } else if (const TaskDescriptor *desc = prog_.taskAt(task)) {
-        d.line = desc->lineNo;
-    }
-    d.message = std::move(message);
-    return d;
-}
-
 AnalysisReport
 MemDepAnalysis::lint() const
 {
@@ -741,16 +680,16 @@ MemDepAnalysis::lintStackDiscipline(AnalysisReport &rep) const
             if (sp.kind != AbsVal::Kind::kConst || sp.base == 0)
                 continue;
             std::ostringstream msg;
-            msg << "task " << labelFor(addr)
+            msg << "task " << verifier_.labelFor(addr)
                 << " reaches a task exit with $sp displaced by "
                 << std::int32_t(sp.base)
                 << " bytes from its entry value; unbalanced "
                    "save/restore breaks the stack-discipline "
                    "assumption the annotation verifier relies on "
                    "(restore $sp before every stop)";
-            rep.diagnostics.push_back(
-                makeDiag(PassId::kStackDiscipline, Severity::kError,
-                         addr, blk.pcs.back(), msg.str()));
+            rep.diagnostics.push_back(verifier_.makeDiag(
+                PassId::kStackDiscipline, Severity::kError, addr,
+                blk.pcs.back(), kNoReg, msg.str()));
             break; // one finding per task is enough
         }
     }
@@ -904,14 +843,14 @@ MemDepAnalysis::lintDeadStore(AnalysisReport &rep) const
             if (!verdict.first)
                 continue;
             std::ostringstream msg;
-            msg << "task " << labelFor(addr) << " stores to 0x"
+            msg << "task " << verifier_.labelFor(addr) << " stores to 0x"
                 << std::hex << verdict.second.base << std::dec
                 << " but every path overwrites the value before any "
                    "load, syscall, or task exit can observe it "
                    "(remove the store or forward the value)";
-            rep.diagnostics.push_back(
-                makeDiag(PassId::kDeadStore, Severity::kWarning, addr,
-                         pc, msg.str()));
+            rep.diagnostics.push_back(verifier_.makeDiag(
+                PassId::kDeadStore, Severity::kWarning, addr, pc, kNoReg,
+                msg.str()));
         }
     }
 }
@@ -997,8 +936,8 @@ MemDepAnalysis::lintMemConflict(AnalysisReport &rep) const
             ++depth;
 
         std::ostringstream msg;
-        msg << "task " << labelFor(e)
-            << " may store to an address task " << labelFor(l)
+        msg << "task " << verifier_.labelFor(e)
+            << " may store to an address task " << verifier_.labelFor(l)
             << " speculatively loads (predicted ARB squash source, "
                "loop depth "
             << depth << ")";
@@ -1015,8 +954,8 @@ MemDepAnalysis::lintMemConflict(AnalysisReport &rep) const
                          return a.load < b.load;
                      });
     for (const Finding &f : findings) {
-        rep.diagnostics.push_back(makeDiag(
-            PassId::kMemConflict, Severity::kInfo, f.store, f.pc,
+        rep.diagnostics.push_back(verifier_.makeDiag(
+            PassId::kMemConflict, Severity::kInfo, f.store, f.pc, kNoReg,
             f.message));
     }
 }

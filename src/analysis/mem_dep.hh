@@ -237,9 +237,6 @@ class MemDepAnalysis
     AbsVal valueOf(const Env &env, RegIndex reg) const;
     void buildSummaries();
     void buildConflicts();
-    Diagnostic makeDiag(PassId pass, Severity sev, Addr task, Addr pc,
-                        std::string message) const;
-    std::string labelFor(Addr addr) const;
 
     void lintMemConflict(AnalysisReport &rep) const;
     void lintStackDiscipline(AnalysisReport &rep) const;
@@ -247,8 +244,6 @@ class MemDepAnalysis
 
     const Program &prog_;
     const AnnotationVerifier &verifier_;
-    /** Task-graph successors (same construction as the verifier). */
-    std::map<Addr, std::vector<Addr>> succs_;
     /** Tasks whose walk is unreliable: truncated, opaque, or with
      *  call edges cut at the walker's depth cap. */
     std::set<Addr> cut_;
@@ -262,8 +257,6 @@ class MemDepAnalysis
     std::set<std::pair<Addr, Addr>> conflictPairs_;
     /** Ordered reachable pairs considered (density denominator). */
     unsigned orderedPairs_ = 0;
-    /** Reverse symbol table for diagnostics. */
-    std::map<Addr, std::string> names_;
 };
 
 } // namespace msim::analysis

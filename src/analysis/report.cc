@@ -22,6 +22,8 @@ passName(PassId pass)
         return "missing-last-update";
       case PassId::kUseBeforeDef:
         return "use-before-def";
+      case PassId::kTaskStructure:
+        return "task-structure";
       case PassId::kMemConflict:
         return "mem-conflict";
       case PassId::kStackDiscipline:
@@ -38,8 +40,9 @@ passByName(std::string_view name)
     for (auto pass :
          {PassId::kMaskSoundness, PassId::kMaskPrecision,
           PassId::kPrematureForward, PassId::kMissingLastUpdate,
-          PassId::kUseBeforeDef, PassId::kMemConflict,
-          PassId::kStackDiscipline, PassId::kDeadStore}) {
+          PassId::kUseBeforeDef, PassId::kTaskStructure,
+          PassId::kMemConflict, PassId::kStackDiscipline,
+          PassId::kDeadStore}) {
         if (name == passName(pass))
             return pass;
     }

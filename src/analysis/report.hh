@@ -20,7 +20,7 @@
 namespace msim::analysis {
 
 /**
- * The verification passes: five annotation passes (verifier.hh) and
+ * The verification passes: six annotation passes (verifier.hh) and
  * three memory-dependence passes (mem_dep.hh).
  */
 enum class PassId : std::uint8_t {
@@ -29,6 +29,7 @@ enum class PassId : std::uint8_t {
     kPrematureForward,   //!< write after the register was forwarded
     kMissingLastUpdate,  //!< path reaches a stop without forwarding
     kUseBeforeDef,       //!< read of a value no path defines
+    kTaskStructure,      //!< descriptors disagree with the task code
     kMemConflict,        //!< cross-task may-store/may-load overlap
     kStackDiscipline,    //!< unbalanced $sp adjustment across a task
     kDeadStore,          //!< store overwritten before any may-read

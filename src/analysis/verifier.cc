@@ -159,6 +159,42 @@ AnnotationVerifier::AnnotationVerifier(const Program &prog) : prog_(prog)
     }
     for (const auto &[addr, desc] : prog.tasks)
         computeFacts(addr);
+
+    // The task graph. kCall targets walk to the callee; the
+    // continuation resumes when some descendant takes a kReturn exit,
+    // so every task with a kReturn target conservatively gets an edge
+    // to every continuation in the program.
+    std::set<Addr> continuations;
+    std::set<Addr> retTasks;
+    for (const auto &[addr, f] : facts_) {
+        auto &out = succs_[addr];
+        for (const TaskTarget &t : f.desc->targets) {
+            if (t.spec == TargetSpec::kReturn) {
+                retTasks.insert(addr);
+                continue;
+            }
+            if (facts_.count(t.addr))
+                out.push_back(t.addr);
+            if (t.spec == TargetSpec::kCall && facts_.count(t.returnTo))
+                continuations.insert(t.returnTo);
+        }
+    }
+    for (Addr addr : retTasks) {
+        auto &out = succs_[addr];
+        out.insert(out.end(), continuations.begin(), continuations.end());
+    }
+    for (auto &[addr, out] : succs_) {
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
+}
+
+const std::vector<Addr> &
+AnnotationVerifier::successors(Addr task) const
+{
+    static const std::vector<Addr> kNone;
+    auto it = succs_.find(task);
+    return it == succs_.end() ? kNone : it->second;
 }
 
 const TaskFacts *
@@ -299,35 +335,6 @@ AnnotationVerifier::verify() const
         if (f.incomplete)
             ++rep.truncatedTasks;
 
-    // Task-graph successor map. kCall targets walk to the callee;
-    // the continuation resumes when some descendant takes a kReturn
-    // exit, so every task with a kReturn target conservatively gets
-    // an edge to every continuation in the program.
-    std::map<Addr, std::vector<Addr>> succs;
-    std::set<Addr> continuations;
-    std::set<Addr> retTasks;
-    for (const auto &[addr, f] : facts_) {
-        auto &out = succs[addr];
-        for (const TaskTarget &t : f.desc->targets) {
-            if (t.spec == TargetSpec::kReturn) {
-                retTasks.insert(addr);
-                continue;
-            }
-            if (facts_.count(t.addr))
-                out.push_back(t.addr);
-            if (t.spec == TargetSpec::kCall && facts_.count(t.returnTo))
-                continuations.insert(t.returnTo);
-        }
-    }
-    for (Addr addr : retTasks) {
-        auto &out = succs[addr];
-        out.insert(out.end(), continuations.begin(), continuations.end());
-    }
-    for (auto &[addr, out] : succs) {
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-    }
-
     const RegMask exempt = stackRegs();
 
     // Pass 2: mask precision. Also collected for pass 4 suppression
@@ -431,7 +438,7 @@ AnnotationVerifier::verify() const
             // every path redefines the register.
             std::set<Addr> visited;
             std::deque<Addr> work;
-            for (Addr s : succs.at(addr))
+            for (Addr s : successors(addr))
                 work.push_back(s);
             Addr firstReader = 0;
             while (!work.empty()) {
@@ -450,7 +457,7 @@ AnnotationVerifier::verify() const
                                    !sf.useBeforeDef.test(r);
                 if (kills)
                     continue;
-                for (Addr nxt : succs.at(s))
+                for (Addr nxt : successors(s))
                     work.push_back(nxt);
             }
             if (firstReader == 0)
@@ -485,13 +492,13 @@ AnnotationVerifier::verify() const
             work.pop_front();
             if (!reachable.insert(t).second)
                 continue;
-            for (Addr s : succs.at(t))
+            for (Addr s : successors(t))
                 work.push_back(s);
         }
 
         std::map<Addr, std::vector<Addr>> preds;
         for (Addr t : reachable)
-            for (Addr s : succs.at(t))
+            for (Addr s : successors(t))
                 if (reachable.count(s))
                     preds[s].push_back(t);
 
@@ -544,7 +551,7 @@ AnnotationVerifier::verify() const
             if (out == wdOut.at(t))
                 continue;
             wdOut[t] = out;
-            for (Addr s : succs.at(t)) {
+            for (Addr s : successors(t)) {
                 if (reachable.count(s) && queued.insert(s).second)
                     wl.push_back(s);
             }
@@ -571,6 +578,8 @@ AnnotationVerifier::verify() const
         }
     }
 
+    checkStructure(rep);
+
     // Deterministic order: by pass, then task, then pc, then reg.
     std::stable_sort(
         rep.diagnostics.begin(), rep.diagnostics.end(),
@@ -584,6 +593,134 @@ AnnotationVerifier::verify() const
             return a.reg < b.reg;
         });
     return rep;
+}
+
+void
+AnnotationVerifier::checkStructure(AnalysisReport &rep) const
+{
+    if (facts_.empty())
+        return; // no descriptors: nothing for the sequencer to walk
+    auto error = [&](Addr task, Addr pc, RegIndex reg, std::string msg) {
+        rep.diagnostics.push_back(makeDiag(PassId::kTaskStructure,
+                                           Severity::kError, task, pc,
+                                           reg, std::move(msg)));
+    };
+
+    if (!facts_.count(prog_.entry)) {
+        error(prog_.entry, prog_.entry, kNoReg,
+              "entry point " + labelFor(prog_.entry) +
+                  " has no task descriptor");
+    }
+
+    for (const auto &[addr, f] : facts_) {
+        const TaskCfg &cfg = *cfgs_.at(addr);
+        const TaskDescriptor &desc = *f.desc;
+        const std::string name = labelFor(addr);
+        bool retTarget = false;
+        std::set<Addr> declared;
+        for (const TaskTarget &t : desc.targets) {
+            if (t.spec == TargetSpec::kReturn) {
+                retTarget = true;
+                continue;
+            }
+            declared.insert(t.addr);
+            if (!facts_.count(t.addr)) {
+                error(addr, 0, kNoReg,
+                      "task " + name + " declares target " +
+                          labelFor(t.addr) +
+                          " which has no task descriptor");
+            }
+            if (t.spec == TargetSpec::kCall && !facts_.count(t.returnTo)) {
+                error(addr, 0, kNoReg,
+                      "task " + name + " declares continuation " +
+                          labelFor(t.returnTo) +
+                          " which has no task descriptor");
+            }
+        }
+
+        if (!retTarget) {
+            for (Addr exit : cfg.staticExits()) {
+                if (!declared.count(exit)) {
+                    error(addr, 0, kNoReg,
+                          "task " + name + " can exit to " +
+                              labelFor(exit) +
+                              " which is not a declared target");
+                }
+            }
+        }
+        if (!desc.targets.empty() && !retTarget && cfg.dynamicExit()) {
+            error(addr, 0, kNoReg,
+                  "task " + name +
+                      " has a dynamic (jr) exit but no 'ret' target");
+        }
+        if (!desc.targets.empty() && !cfg.stopReachable() &&
+            !cfg.dynamicExit()) {
+            error(addr, 0, kNoReg,
+                  "task " + name +
+                      " declares successors but no stop condition is "
+                      "statically reachable");
+        }
+
+        // Forward and release points must name create-mask registers.
+        for (Addr pc : cfg.reachablePcs()) {
+            const Instruction &inst = *prog_.instrAt(pc);
+            if (inst.tags.forward && inst.dest > 0 &&
+                !desc.createMask.test(inst.dest)) {
+                error(addr, pc, inst.dest,
+                      "task " + name + " forwards " +
+                          isa::regName(inst.dest) + " at " +
+                          labelFor(pc) + " outside its create mask");
+            }
+            if (inst.opClass != InstClass::kRelease)
+                continue;
+            for (RegIndex r : {inst.rs, inst.rel2}) {
+                if (r > 0 && !desc.createMask.test(r)) {
+                    error(addr, pc, r,
+                          "task " + name + " releases " +
+                              isa::regName(r) + " at " + labelFor(pc) +
+                              " outside its create mask");
+                }
+            }
+        }
+    }
+}
+
+std::string
+toDot(const AnnotationVerifier &verifier)
+{
+    std::ostringstream os;
+    os << "digraph tasks {\n";
+    os << "  node [shape=box, fontname=\"monospace\"];\n";
+    for (const auto &[addr, f] : verifier.allFacts()) {
+        const std::string name = verifier.labelFor(addr);
+        os << "  \"" << name << "\" [label=\"" << name << "\\ncreate {"
+           << f.desc->createMask.toString() << "}\\n"
+           << verifier.cfg(addr)->reachablePcs().size()
+           << " static instrs\"];\n";
+        for (const TaskTarget &t : f.desc->targets) {
+            if (t.spec == TargetSpec::kReturn) {
+                os << "  \"" << name
+                   << "\" -> \"(return)\" [style=dashed];\n";
+                continue;
+            }
+            os << "  \"" << name << "\" -> \"" << verifier.labelFor(t.addr)
+               << "\"";
+            switch (t.spec) {
+              case TargetSpec::kLoop:
+                os << " [color=blue, label=loop]";
+                break;
+              case TargetSpec::kCall:
+                os << " [color=darkgreen, label=\"call ret="
+                   << verifier.labelFor(t.returnTo) << "\"]";
+                break;
+              default:
+                break;
+            }
+            os << ";\n";
+        }
+    }
+    os << "}\n";
+    return os.str();
 }
 
 } // namespace msim::analysis

@@ -17,7 +17,7 @@
  * else is task-local scratch), while a scalar machine keeps every
  * write. The analyses encode that asymmetry.
  *
- * Five passes:
+ * Six passes:
  *
  *  1. mask-soundness (error): a register written on some path but
  *     absent from the create mask, where some successor task reads
@@ -37,6 +37,20 @@
  *     neither well-defined at task entry (on every inter-task path
  *     from program start, where nothing starts defined) nor defined
  *     locally first.
+ *  6. task-structure (error): the descriptors disagree with the code
+ *     the sequencer will walk — the entry point or a declared target
+ *     or call continuation has no descriptor, a reachable static exit
+ *     is not a declared target, a dynamic (jr) exit has no `ret`
+ *     target, a task with targets reaches no stop, or a !f or release
+ *     names a register outside the create mask. A program with no
+ *     descriptors (the scalar assembly) has no structure to check.
+ *
+ * The verifier owns the task graph: the successor map (kCall targets
+ * walk to the callee; every task with a kReturn target conservatively
+ * reaches every call continuation in the program) and the reverse
+ * symbol table are built once at construction and shared with the
+ * memory-dependence analysis (mem_dep.hh) and the Graphviz rendering
+ * (toDot), the paper's Figure 2 view of a program.
  *
  * Assumptions, applied as documented exemptions: $sp/$fp follow stack
  * discipline (balanced save/restore across tasks), so they are
@@ -56,6 +70,8 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/cfg.hh"
 #include "analysis/report.hh"
@@ -99,7 +115,7 @@ struct TaskFacts
     std::array<Addr, kNumRegs> firstUbdPc{};
 };
 
-/** Runs the five annotation passes over one program. */
+/** Runs the six annotation passes over one program. */
 class AnnotationVerifier
 {
   public:
@@ -117,21 +133,41 @@ class AnnotationVerifier
     /** @return the CFG of the task at @p task, or nullptr. */
     const TaskCfg *cfg(Addr task) const;
 
-    /** Run all five passes. */
+    /** @return the task-graph successors of @p task, sorted. */
+    const std::vector<Addr> &successors(Addr task) const;
+
+    /** @return the first symbol (by name) at @p addr, else its hex. */
+    std::string labelFor(Addr addr) const;
+
+    /**
+     * A finding anchored at @p pc of @p task; pc 0 makes it
+     * task-level, with the line taken from the task's descriptor.
+     */
+    Diagnostic makeDiag(PassId pass, Severity sev, Addr task, Addr pc,
+                        RegIndex reg, std::string message) const;
+
+    /** Run all six passes. */
     AnalysisReport verify() const;
 
   private:
     void computeFacts(Addr start);
-    std::string labelFor(Addr addr) const;
-    Diagnostic makeDiag(PassId pass, Severity sev, Addr task, Addr pc,
-                        RegIndex reg, std::string message) const;
+    void checkStructure(AnalysisReport &rep) const;
 
     const Program &prog_;
     std::map<Addr, TaskFacts> facts_;
     std::map<Addr, std::unique_ptr<TaskCfg>> cfgs_;
+    /** Task-graph successors, one sorted list per task. */
+    std::map<Addr, std::vector<Addr>> succs_;
     /** Reverse symbol table for diagnostics. */
     std::map<Addr, std::string> names_;
 };
+
+/**
+ * Render the task graph in Graphviz dot form: one node per task
+ * (create mask, static instruction count) and one edge per declared
+ * target, colored by kind.
+ */
+std::string toDot(const AnnotationVerifier &verifier);
 
 } // namespace msim::analysis
 

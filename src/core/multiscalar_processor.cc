@@ -433,6 +433,9 @@ MultiscalarProcessor::retirePhase(Cycle now)
     taskInfo_[head_unit] = ActiveTask{};
     head_ = (head_ + 1) % config_.numUnits;
     --numActive_;
+    // The new head may run a syscall it was refused so far.
+    if (numActive_ > 0)
+        due_[unitAt(0)] = std::min(due_[unitAt(0)], now + 1);
 }
 
 void

@@ -684,16 +684,14 @@ ProcessingUnit::dueAfter(Cycle now, bool saw_ready) const
 {
     const Cycle soon = now + 1;
     // Changed state, or a ready slot retries FU capacity or a full
-    // ARB: the unit may act again next cycle. An un-issued syscall at
-    // the window head re-polls its permission, the one context answer
-    // a stalled unit reads, every cycle.
-    if (activity_ || saw_ready ||
-        (dispatched_ > 0 && !q_.front().issued &&
-         q_.front().inst->opClass == InstClass::kSyscall))
+    // ARB: the unit may act again next cycle.
+    if (activity_ || saw_ready)
         return soon;
     // Nothing changed, so every slot issuePhase could reach waits on
     // an operand, an older slot or a permission: only a completion,
-    // a dispatch or a fetch can act before an external input.
+    // a dispatch or a fetch can act before an external input. A
+    // syscall's permission is one: it comes when the unit becomes
+    // the head, and the processor wakes the new head then.
     Cycle next = nextDoneAt();
     if (status_ == Status::kRunning) {
         if (fetched() > 0 && dispatched_ < config_.windowSize)

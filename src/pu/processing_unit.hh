@@ -99,16 +99,16 @@ class ProcessingUnit
      * which keeps it until a later tick records another.
      *
      * @return the cycle the unit is next due: now + 1 if this tick
-     * changed state, a ready slot retries (FU capacity or a full ARB)
-     * or an un-issued syscall at the window head re-polls its
-     * permission; else the first cycle a completion, a dispatch or a
+     * changed state or a ready slot retries (FU capacity or a full
+     * ARB); else the first cycle a completion, a dispatch or a
      * fetch can act; kCycleNever when only an external input can
      * (or the unit is free). Ticks before that cycle would change
      * nothing and classify the same stall, which the open accounting
      * run already covers, so the caller may skip them. The external
      * inputs, after which the unit is due at once, are an accepted
-     * deliverForward() and assignTask(); flush() and retire() free
-     * it. See DESIGN.md "Quiescence & fast-forward".
+     * deliverForward(), assignTask() and becoming the head (which
+     * grants a parked syscall its permission); flush() and retire()
+     * free it. See DESIGN.md "Quiescence & fast-forward".
      */
     Cycle tick(Cycle now);
 

@@ -1,24 +1,34 @@
 /**
  * @file
- * Annotation verifier tests: one minimal reproducer per diagnostic
- * (each of the five passes has a program that triggers it and a
- * near-identical clean twin), CFG construction facts (halt detection,
- * context-sensitive walk, truncation on unbounded recursion), report
- * formatting, and the strict assembler gate.
+ * Static verifier tests: one minimal reproducer per diagnostic (each
+ * register pass has a program that triggers it and a near-identical
+ * clean twin; each task-structure check has a program that breaks
+ * it), CFG construction facts (exits, halt detection,
+ * context-sensitive walk, truncation on unbounded recursion), the
+ * task graph's successors and Graphviz form, report formatting, the
+ * msim-lint tool, the strict assembler gate, the memory-dependence
+ * analysis and its oracle, and every shipped workload linting clean.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "analysis/mem_dep.hh"
 #include "analysis/verifier.hh"
 #include "asm/assembler.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "golden_file.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
 
@@ -480,6 +490,298 @@ RLEAF:
     EXPECT_GE(rep.truncatedTasks, 1u);
 }
 
+// ---- pass 6: task structure ---------------------------------------
+//
+// The TaskGraph suite covers the task graph the verifier owns: its
+// successors, the descriptors checked against the code, and its
+// Graphviz form.
+
+/** @return the task-structure finding whose message has @p text. */
+const analysis::Diagnostic *
+structureFinding(const AnalysisReport &rep, const std::string &text)
+{
+    for (const auto &d : rep.diagnostics)
+        if (d.pass == PassId::kTaskStructure &&
+            d.message.find(text) != std::string::npos)
+            return &d;
+    return nullptr;
+}
+
+// A call task and its continuation: main calls FN, which returns to
+// CONT, the fall-through of the jal.
+const char *const kCallTask = R"(
+        .text
+main:   jal  FN !s
+.task main
+.targets FN:call:CONT
+.endtask
+.task CONT
+.endtask
+CONT:   li   $2, 10
+        syscall
+.task FN
+.targets ret
+.endtask
+FN:     jr   $31 !s
+)";
+
+TEST(TaskGraph, CleanProgramValidates)
+{
+    Program p = ms(kClean);
+    AnnotationVerifier v(p);
+    const AnalysisReport rep = v.verify();
+    EXPECT_EQ(count(rep, PassId::kTaskStructure), 0u) << rep.toText();
+    const Addr main = p.symbols.at("main");
+    const Addr loop = p.symbols.at("LOOP");
+    const Addr done = p.symbols.at("DONE");
+    EXPECT_EQ(v.successors(main), std::vector<Addr>{loop});
+    EXPECT_EQ(v.successors(loop), (std::vector<Addr>{loop, done}));
+    EXPECT_TRUE(v.successors(done).empty());
+    EXPECT_TRUE(v.successors(main + 4).empty());  // not a task
+
+    // A kReturn task reaches every call continuation.
+    Program c = ms(kCallTask);
+    AnnotationVerifier cv(c);
+    EXPECT_EQ(cv.successors(c.symbols.at("main")),
+              std::vector<Addr>{c.symbols.at("FN")});
+    EXPECT_EQ(cv.successors(c.symbols.at("FN")),
+              std::vector<Addr>{c.symbols.at("CONT")});
+    EXPECT_EQ(count(cv.verify(), PassId::kTaskStructure), 0u);
+}
+
+TEST(TaskGraph, WalkFindsExitsAndCounts)
+{
+    Program p = ms(kClean);
+    const Addr loop = p.symbols.at("LOOP");
+    const Addr done = p.symbols.at("DONE");
+    const TaskCfg main(p, p.symbols.at("main"));
+    EXPECT_EQ(main.staticExits(), std::vector<Addr>{loop});
+    // The loop task exits to itself or to DONE.
+    const TaskCfg body(p, loop);
+    EXPECT_EQ(body.staticExits(), (std::vector<Addr>{loop, done}));
+    EXPECT_TRUE(body.stopReachable());
+    EXPECT_EQ(body.reachablePcs().size(), 2u);
+    // DONE is terminal: no stop, no exits.
+    const TaskCfg last(p, done);
+    EXPECT_TRUE(last.staticExits().empty());
+    EXPECT_FALSE(last.stopReachable());
+}
+
+TEST(TaskGraph, DetectsUndeclaredExit)
+{
+    // The gcc bug that motivated these checks: the loop stop's
+    // fall-through lands on code that is not a declared target.
+    const AnalysisReport rep = lint(R"(
+        .text
+main:   li   $20, 0
+        b    LOOP !s
+.task main
+.targets LOOP
+.create $20
+.endtask
+.task LOOP
+.targets LOOP:loop, DONE
+.create $20
+.endtask
+LOOP:
+        addu $20, $20, 1 !f
+        bne  $20, $0, LOOP !s
+EXTRA:  nop
+.task DONE
+.endtask
+DONE:
+        li   $2, 10
+        syscall
+    )");
+    const auto *d = structureFinding(
+        rep, "task LOOP can exit to EXTRA which is not a declared target");
+    ASSERT_NE(d, nullptr) << rep.toText();
+    EXPECT_EQ(d->severity, Severity::kError);
+    EXPECT_EQ(d->taskName, "LOOP");
+    EXPECT_EQ(d->pc, 0u);
+}
+
+TEST(TaskGraph, DetectsMissingDescriptor)
+{
+    const AnalysisReport rep = lint(R"(
+        .text
+main:   b    NEXT !s
+.task main
+.targets NEXT
+.endtask
+NEXT:   li   $2, 10
+        syscall
+    )");
+    const auto *d = structureFinding(
+        rep, "task main declares target NEXT which has no task "
+             "descriptor");
+    ASSERT_NE(d, nullptr) << rep.toText();
+    EXPECT_EQ(d->severity, Severity::kError);
+
+    // A call's continuation needs a descriptor of its own.
+    std::string src = kCallTask;
+    const std::string cont = ".task CONT\n.endtask\n";
+    src.erase(src.find(cont), cont.size());
+    const AnalysisReport call = lint(src);
+    EXPECT_NE(structureFinding(call, "task main declares continuation "
+                                     "CONT which has no task descriptor"),
+              nullptr)
+        << call.toText();
+}
+
+TEST(TaskGraph, DetectsMissingEntryDescriptor)
+{
+    Program p = ms(R"(
+        .text
+main:   nop !s
+OTHER:  nop
+.task OTHER
+.endtask
+    )");
+    const AnalysisReport rep = AnnotationVerifier(p).verify();
+    const auto *d =
+        structureFinding(rep, "entry point main has no task descriptor");
+    ASSERT_NE(d, nullptr) << rep.toText();
+    EXPECT_EQ(d->task, p.entry);
+    EXPECT_EQ(d->pc, p.entry);
+    EXPECT_EQ(d->severity, Severity::kError);
+}
+
+TEST(TaskGraph, DetectsForwardOutsideMask)
+{
+    Program p = ms(R"(
+        .text
+main:   addu $20, $20, 1 !f
+        nop !s
+.task main
+.targets main:loop
+.endtask
+    )");
+    const AnalysisReport rep = AnnotationVerifier(p).verify();
+    const auto *d = structureFinding(
+        rep, "task main forwards $20 at main outside its create mask");
+    ASSERT_NE(d, nullptr) << rep.toText();
+    EXPECT_EQ(d->pc, p.symbols.at("main"));
+    EXPECT_EQ(d->reg, 20);
+}
+
+TEST(TaskGraph, DetectsReleaseOutsideMask)
+{
+    Program p = ms(R"(
+        .text
+main:   release $8
+        nop !s
+.task main
+.targets main:loop
+.endtask
+    )");
+    const AnalysisReport rep = AnnotationVerifier(p).verify();
+    const auto *d = structureFinding(
+        rep, "task main releases $8 at main outside its create mask");
+    ASSERT_NE(d, nullptr) << rep.toText();
+    EXPECT_EQ(d->pc, p.symbols.at("main"));
+    EXPECT_EQ(d->reg, 8);
+}
+
+TEST(TaskGraph, DetectsMissingReturnSpec)
+{
+    const AnalysisReport rep = lint(R"(
+        .text
+main:   jr   $31 !s
+.task main
+.targets main:loop
+.endtask
+    )");
+    EXPECT_NE(structureFinding(rep, "task main has a dynamic (jr) exit "
+                                    "but no 'ret' target"),
+              nullptr)
+        << rep.toText();
+}
+
+TEST(TaskGraph, DetectsNoStopReachable)
+{
+    const AnalysisReport rep = lint(R"(
+        .text
+main:   li   $2, 10
+        syscall
+.task main
+.targets main:loop
+.endtask
+    )");
+    EXPECT_NE(structureFinding(rep, "task main declares successors but "
+                                    "no stop condition is statically "
+                                    "reachable"),
+              nullptr)
+        << rep.toText();
+}
+
+TEST(TaskGraph, CallReturnWalksThroughFunctions)
+{
+    Program p = ms(R"(
+        .text
+main:   li   $4, 1
+        jal  helper
+        addu $5, $2, $2
+        nop  !s
+.task main
+.targets DONE
+.create $5
+.endtask
+.task DONE
+.endtask
+DONE:
+        li   $2, 10
+        syscall
+helper: addu $2, $4, $4
+        jr   $31
+    )");
+    AnnotationVerifier v(p);
+    const AnalysisReport rep = v.verify();
+    EXPECT_EQ(count(rep, PassId::kTaskStructure), 0u) << rep.toText();
+    // The walk followed the call and the return.
+    EXPECT_EQ(v.cfg(p.symbols.at("main"))->reachablePcs().size(), 6u);
+}
+
+TEST(TaskGraph, DescriptorFreeProgramHasNoStructure)
+{
+    // The scalar assembly of a workload carries no descriptors: no
+    // task graph, so nothing to check (not even the entry point).
+    assembler::AsmOptions opts;
+    opts.multiscalar = false;
+    Program p = assembler::assemble(kClean, opts);
+    ASSERT_TRUE(p.tasks.empty());
+    const AnalysisReport rep = AnnotationVerifier(p).verify();
+    EXPECT_TRUE(rep.diagnostics.empty()) << rep.toText();
+}
+
+TEST(TaskGraph, DotOutputHasNodesAndEdges)
+{
+    Program p = ms(kClean);
+    EXPECT_EQ(analysis::toDot(AnnotationVerifier(p)),
+              "digraph tasks {\n"
+              "  node [shape=box, fontname=\"monospace\"];\n"
+              "  \"main\" [label=\"main\\ncreate {$20,$21}\\n"
+              "3 static instrs\"];\n"
+              "  \"main\" -> \"LOOP\";\n"
+              "  \"LOOP\" [label=\"LOOP\\ncreate {$20}\\n"
+              "2 static instrs\"];\n"
+              "  \"LOOP\" -> \"LOOP\" [color=blue, label=loop];\n"
+              "  \"LOOP\" -> \"DONE\";\n"
+              "  \"DONE\" [label=\"DONE\\ncreate {}\\n"
+              "5 static instrs\"];\n"
+              "}\n");
+
+    Program c = ms(kCallTask);
+    const std::string dot = analysis::toDot(AnnotationVerifier(c));
+    EXPECT_NE(dot.find("\"main\" -> \"FN\" [color=darkgreen, "
+                       "label=\"call ret=CONT\"];\n"),
+              std::string::npos)
+        << dot;
+    EXPECT_NE(dot.find("\"FN\" -> \"(return)\" [style=dashed];\n"),
+              std::string::npos)
+        << dot;
+}
+
 // ---- report formats and the strict gate ----------------------------
 
 TEST(Analysis, TextAndJsonReportsCarryTheDiagnostic)
@@ -520,6 +822,125 @@ TEST(Analysis, TextAndJsonReportsCarryTheDiagnostic)
         EXPECT_EQ(row.find("line")->asInt(), d.line);
         EXPECT_EQ(row.find("message")->asString(), d.message);
     }
+}
+
+TEST(Analysis, TaskLevelDiagnosticsRenderWithAndWithoutAFile)
+{
+    // A task-level finding (pc 0) takes its line from the task's
+    // descriptor; without a file name the text line starts at the
+    // line number, and without either it starts at the severity.
+    const char *const src = R"(
+        .text
+main:   b    NEXT !s
+.task main
+.targets NEXT
+.endtask
+NEXT:   li   $2, 10
+        syscall
+)";
+    for (const std::string file : {"bad.ms.s", ""}) {
+        assembler::AsmOptions opts;
+        opts.multiscalar = true;
+        opts.fileName = file;
+        Program p = assembler::assemble(src, opts);
+        const AnalysisReport rep = AnnotationVerifier(p).verify();
+        const auto *d = find(rep, PassId::kTaskStructure);
+        ASSERT_NE(d, nullptr) << rep.toText();
+        EXPECT_EQ(d->pc, 0u);
+        EXPECT_EQ(d->file, file);
+        EXPECT_EQ(d->line, p.taskAt(p.entry)->lineNo);
+        ASSERT_GT(d->line, 0);
+
+        const std::string line = std::to_string(d->line);
+        const std::string prefix =
+            file.empty() ? line + ": " : file + ":" + line + ": ";
+        EXPECT_EQ(rep.toText().rfind(prefix + "error: " + d->message +
+                                         " [task-structure]\n",
+                                     0),
+                  0u)
+            << rep.toText();
+
+        const json::Value doc = json::Value::parse(rep.toJson());
+        const json::Value &row = doc.find("diagnostics")->items()[0];
+        EXPECT_EQ(row.find("pass")->asString(), "task-structure");
+        EXPECT_EQ(row.find("task")->asString(), "main");
+        EXPECT_EQ(row.find("pc")->asInt(), 0);
+        EXPECT_EQ(row.find("file")->asString(), file);
+        EXPECT_EQ(row.find("line")->asInt(), d->line);
+    }
+
+    // Neither file nor line: the severity opens the line.
+    AnalysisReport bare;
+    bare.numTasks = 1;
+    bare.diagnostics.push_back(
+        {PassId::kTaskStructure, Severity::kError, 0, "t", 0, kNoReg,
+         "", 0, "no anchor"});
+    EXPECT_EQ(bare.toText(),
+              "error: no anchor [task-structure]\n"
+              "1 error(s), 0 warning(s) across 1 task(s)\n");
+}
+
+TEST(Analysis, PassNamesRoundTrip)
+{
+    std::set<std::string> names;
+    for (int i = 0; i <= int(PassId::kDeadStore); ++i) {
+        const PassId pass = PassId(i);
+        const std::string name = analysis::passName(pass);
+        EXPECT_NE(name, "unknown") << i;
+        EXPECT_TRUE(names.insert(name).second) << name;
+        EXPECT_EQ(analysis::passByName(name), pass) << name;
+    }
+    EXPECT_EQ(names.size(), 9u);
+    EXPECT_TRUE(names.count("task-structure"));
+    EXPECT_EQ(analysis::passByName("no-such-pass"), std::nullopt);
+    EXPECT_EQ(analysis::passByName(""), std::nullopt);
+}
+
+/** Exec the real msim-lint with @p args: {exit status, stdout}. */
+std::pair<int, std::string>
+runLint(const std::string &args)
+{
+    const std::string cmd = std::string(MSIM_LINT_BIN) + " " + args;
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe) {
+        ADD_FAILURE() << "cannot run " << cmd;
+        return {-1, ""};
+    }
+    std::string out;
+    char buf[4096];
+    size_t n;
+    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    const int status = pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(Analysis, LintPassesFlagSelectsTaskStructure)
+{
+    // kMaskUnsound plus a forward of $8, which A's mask lacks: one
+    // mask-soundness and one task-structure error.
+    std::string src = kMaskUnsound;
+    src.replace(src.find("li   $8, 5"), 10, "li   $8, 5 !f");
+    const std::string path =
+        ::testing::TempDir() + "msim_lint_passes.ms.s";
+    {
+        std::ofstream f(path);
+        f << src;
+    }
+
+    const auto [all_status, all] = runLint(path);
+    EXPECT_EQ(all_status, 1) << all;
+    EXPECT_NE(all.find("[mask-soundness]"), std::string::npos) << all;
+    EXPECT_NE(all.find("[task-structure]"), std::string::npos) << all;
+
+    const auto [status, only] = runLint("--passes task-structure " + path);
+    EXPECT_EQ(status, 1) << only;
+    EXPECT_NE(only.find("forwards $8 at A outside its create mask "
+                        "[task-structure]"),
+              std::string::npos)
+        << only;
+    EXPECT_EQ(only.find("[mask-soundness]"), std::string::npos) << only;
+    std::remove(path.c_str());
 }
 
 TEST(Analysis, StrictAssemblerRejectsUnsoundProgram)
@@ -775,35 +1196,16 @@ TEST(MemDep, JsonCarriesMemStats)
  */
 TEST(MemDep, LintJsonMatchesGoldenSnapshot)
 {
-    const std::string golden =
-        std::string(MSIM_GOLDEN_DIR) + "/lint_compress.json";
-    const std::string cmd =
-        std::string(MSIM_LINT_BIN) + " --format json compress";
-
-    FILE *pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0)
-        out.append(buf, n);
-    const int status = pclose(pipe);
+    const GoldenFile golden("lint_compress.json", "test_analysis");
+    const auto [status, out] = runLint("--format json compress");
     // Exit 0: info findings (mem-conflict) never gate.
     EXPECT_EQ(status, 0) << out;
 
-    if (std::getenv("MSIM_REGEN_GOLDEN")) {
-        std::ofstream f(golden, std::ios::binary);
-        ASSERT_TRUE(f.good()) << golden;
-        f << out;
-        GTEST_SKIP() << "regenerated " << golden;
+    if (GoldenFile::regenerating()) {
+        golden.write(out);
+        GTEST_SKIP() << "regenerated " << golden.path();
     }
-
-    std::ifstream f(golden, std::ios::binary);
-    ASSERT_TRUE(f.good())
-        << golden << " missing; regenerate with MSIM_REGEN_GOLDEN=1";
-    std::ostringstream want;
-    want << f.rdbuf();
-    EXPECT_EQ(out, want.str());
+    EXPECT_EQ(out, golden.read()) << golden.regenHint();
 }
 
 /**
@@ -854,6 +1256,60 @@ TEST(MemDep, PredictedDensityCoversMeasuredSquashes)
         }
     }
 }
+
+/**
+ * CI's lint gate, in ctest: every registered workload and every
+ * assembly variant verifies with zero errors and zero warnings, over
+ * the annotation passes (task structure included) and the memory
+ * passes alike. Info findings (mem-conflict) are expected.
+ */
+class WorkloadLint
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, std::string>>
+{
+};
+
+TEST_P(WorkloadLint, EveryShippedWorkloadIsClean)
+{
+    const auto &[name, define] = GetParam();
+    workloads::Workload w = workloads::get(name);
+    std::set<std::string> defines;
+    if (!define.empty())
+        defines.insert(define);
+    Program prog = assembleWorkload(w, true, defines);
+    AnnotationVerifier v(prog);
+    const AnalysisReport rep = v.verify();
+    EXPECT_EQ(rep.errorCount(), 0u) << rep.toText();
+    EXPECT_EQ(rep.warningCount(), 0u) << rep.toText();
+    const AnalysisReport mem = MemDepAnalysis(prog, v).lint();
+    EXPECT_EQ(mem.errorCount(), 0u) << mem.toText();
+    EXPECT_EQ(mem.warningCount(), 0u) << mem.toText();
+}
+
+std::vector<std::tuple<std::string, std::string>>
+lintCases()
+{
+    std::vector<std::tuple<std::string, std::string>> cases;
+    for (const auto &[name, factory] : workloads::registry()) {
+        (void)factory;
+        cases.emplace_back(name, "");
+    }
+    cases.emplace_back("example", "OPTMASK");
+    cases.emplace_back("sc", "SCGRID");
+    cases.emplace_back("gcc", "SYNC");
+    cases.emplace_back("wc", "EARLYV");
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, WorkloadLint, ::testing::ValuesIn(lintCases()),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::string, std::string>> &info) {
+        std::string n = std::get<0>(info.param);
+        if (!std::get<1>(info.param).empty())
+            n += "_" + std::get<1>(info.param);
+        return n;
+    });
 
 } // namespace
 } // namespace msim

@@ -519,6 +519,62 @@ TEST(Core, FastForwardStopsAtTheWatchdog)
               stuckUnitLine(1, 24202, task, "$19", "oldest lw due @459471"));
 }
 
+TEST(Core, ParkedSyscallSleepsUntilItsUnitIsHead)
+{
+    // The head task waits on a chain of slow-bus load misses while
+    // its speculative successor parks on a syscall it may not run
+    // until it becomes the head. Only retirement changes that
+    // permission, so the parked unit has no event of its own and
+    // the run fast-forwards over the misses, exactly.
+    const char *const src = R"(
+        .data
+BUF:    .space 1024
+        .text
+main:   la   $8, BUF
+        lw   $9, 0($8)
+        addu $8, $8, $9
+        lw   $9, 256($8)
+        addu $8, $8, $9
+        lw   $9, 512($8)
+        addu $8, $8, $9
+        lw   $9, 768($8)
+        b    OUT !s
+.task main
+.targets OUT
+.endtask
+.task OUT
+.endtask
+OUT:    li   $4, 7
+        li   $2, 1
+        syscall
+        li   $2, 10
+        syscall
+)";
+    MsConfig cfg;
+    cfg.bus.firstBeatLatency = 200;
+    MsConfig off = cfg;
+    off.fastForward = false;
+    const RunResult on_r = run(src, cfg);
+    const RunResult off_r = run(src, off);
+    ASSERT_TRUE(on_r.exited);
+    EXPECT_EQ(on_r.output, "7");
+    // Nothing but the misses and the icache fills happens, so all
+    // but a few cycles are skipped; a parked unit due every cycle
+    // would make the run step through the whole load chain.
+    EXPECT_GT(on_r.fastForwardedCycles, on_r.cycles * 9 / 10);
+    EXPECT_EQ(off_r.fastForwardedCycles, 0u);
+    EXPECT_EQ(on_r.cycles, off_r.cycles);
+    EXPECT_EQ(on_r.output, off_r.output);
+    for (size_t cat = 0; cat < kNumCycleCats; ++cat) {
+        for (unsigned u = 0; u < on_r.accounting.numUnits; ++u) {
+            EXPECT_EQ(on_r.accounting.perUnit[u][cat],
+                      off_r.accounting.perUnit[u][cat])
+                << "unit " << u << " category "
+                << cycleCatName(CycleCat(cat));
+        }
+    }
+}
+
 TEST(Core, InvalidConfigFailsAtConstruction)
 {
     // validate() runs in the processor constructors, so a bad

@@ -29,14 +29,13 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_file.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
 
@@ -54,17 +53,11 @@ struct GoldenEntry
     std::array<std::uint64_t, kNumCycleCats> cats{};
 };
 
-std::string
-goldenPath()
+const GoldenFile &
+golden()
 {
-    return std::string(MSIM_GOLDEN_DIR) + "/cycles.json";
-}
-
-bool
-regenMode()
-{
-    const char *env = std::getenv("MSIM_REGEN_GOLDEN");
-    return env && *env && std::string(env) != "0";
+    static const GoldenFile file("cycles.json", "test_golden_cycles");
+    return file;
 }
 
 /** Pull the number following "<field>": at/after @p pos. */
@@ -84,14 +77,9 @@ parseField(const std::string &text, size_t pos, const std::string &field)
 const std::map<std::string, GoldenEntry> &
 loadGolden()
 {
-    static const std::map<std::string, GoldenEntry> golden = [] {
+    static const std::map<std::string, GoldenEntry> snapshot = [] {
         std::map<std::string, GoldenEntry> entries;
-        std::ifstream in(goldenPath());
-        if (!in)
-            return entries;  // missing file reported per test
-        std::stringstream ss;
-        ss << in.rdbuf();
-        const std::string text = ss.str();
+        const std::string text = golden().read();
         size_t pos = 0;
         while ((pos = text.find("\"key\":", pos)) != std::string::npos) {
             const size_t q0 = text.find('"', pos + 6);
@@ -113,7 +101,7 @@ loadGolden()
         }
         return entries;
     }();
-    return golden;
+    return snapshot;
 }
 
 /** Measured entries collected for MSIM_REGEN_GOLDEN=1 mode. */
@@ -131,11 +119,9 @@ class RegenWriter : public ::testing::Environment
     void
     TearDown() override
     {
-        if (!regenMode() || regenEntries().empty())
+        if (!GoldenFile::regenerating() || regenEntries().empty())
             return;
-        std::ofstream out(goldenPath());
-        ASSERT_TRUE(out.good())
-            << "cannot write golden file " << goldenPath();
+        std::ostringstream out;
         out << "{\n  \"schema\": \"msim-golden-cycles-v1\",\n"
             << "  \"entries\": [\n";
         size_t i = 0;
@@ -152,8 +138,7 @@ class RegenWriter : public ::testing::Environment
                 << "\n";
         }
         out << "  ]\n}\n";
-        std::printf("regenerated %s (%zu entries)\n",
-                    goldenPath().c_str(), regenEntries().size());
+        golden().write(out.str());
     }
 };
 
@@ -249,16 +234,16 @@ TEST_P(GoldenCycles, FastForwardIsCycleExactAndMatchesSnapshot)
     measured.tasksSquashed = on.tasksSquashed;
     measured.cats = on.accounting.total;
 
-    if (regenMode()) {
+    if (GoldenFile::regenerating()) {
         regenEntries()[key] = measured;
         return;
     }
 
-    const auto &golden = loadGolden();
-    auto it = golden.find(key);
-    ASSERT_NE(it, golden.end())
-        << "no golden entry for " << key << " in " << goldenPath()
-        << " — regenerate with MSIM_REGEN_GOLDEN=1 (see file header)";
+    SCOPED_TRACE(golden().regenHint());
+    const auto &entries = loadGolden();
+    auto it = entries.find(key);
+    ASSERT_NE(it, entries.end())
+        << "no golden entry for " << key << " in " << golden().path();
     EXPECT_EQ(measured.cycles, it->second.cycles) << key;
     EXPECT_EQ(measured.instructions, it->second.instructions) << key;
     EXPECT_EQ(measured.tasksRetired, it->second.tasksRetired) << key;

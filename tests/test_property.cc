@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -47,6 +46,7 @@
 #include "common/rng.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
+#include "golden_file.hh"
 #include "sim/compiled_workload.hh"
 #include "sim/reference.hh"
 
@@ -368,17 +368,11 @@ struct FuzzTiming
     }
 };
 
-std::string
-fuzzGoldenPath()
+const GoldenFile &
+fuzzGolden()
 {
-    return std::string(MSIM_GOLDEN_DIR) + "/fuzz_cycles.json";
-}
-
-bool
-regenMode()
-{
-    const char *env = std::getenv("MSIM_REGEN_GOLDEN");
-    return env && *env && std::string(env) != "0";
+    static const GoldenFile file("fuzz_cycles.json", "test_property");
+    return file;
 }
 
 /** Parse the snapshot: one `{ "seed": N, "cycles": [...], ... }` a line. */
@@ -386,7 +380,7 @@ std::map<int, FuzzTiming>
 readFuzzGolden()
 {
     std::map<int, FuzzTiming> rows;
-    std::ifstream in(fuzzGoldenPath());
+    std::istringstream in(fuzzGolden().read());
     std::string line;
     while (std::getline(in, line)) {
         const size_t seed_at = line.find("\"seed\":");
@@ -412,7 +406,7 @@ readFuzzGolden()
 }
 
 const std::map<int, FuzzTiming> &
-fuzzGolden()
+fuzzRows()
 {
     static const std::map<int, FuzzTiming> rows = readFuzzGolden();
     return rows;
@@ -433,14 +427,12 @@ class FuzzRegenWriter : public ::testing::Environment
     void
     TearDown() override
     {
-        if (!regenMode() || regenRows().empty())
+        if (!GoldenFile::regenerating() || regenRows().empty())
             return;
         std::map<int, FuzzTiming> rows = readFuzzGolden();
         for (const auto &[seed, row] : regenRows())
             rows[seed] = row;
-        std::ofstream out(fuzzGoldenPath());
-        ASSERT_TRUE(out.good())
-            << "cannot write golden file " << fuzzGoldenPath();
+        std::ostringstream out;
         out << "{\n  \"schema\": \"msim-golden-fuzz-v1\",\n"
             << "  \"rows\": [\n";
         size_t i = 0;
@@ -455,8 +447,7 @@ class FuzzRegenWriter : public ::testing::Environment
                 << (++i < rows.size() ? "," : "") << "\n";
         }
         out << "  ]\n}\n";
-        std::printf("regenerated %s (%zu rows)\n",
-                    fuzzGoldenPath().c_str(), rows.size());
+        fuzzGolden().write(out.str());
     }
 };
 
@@ -675,14 +666,15 @@ TEST_P(RandomProgram, AllMachinesMatchTheReference)
 
     // Cycles: scalar, the eight shapes, then the two fast-forward
     // configs (their FF-off twins fold into the digest only).
-    if (regenMode()) {
+    if (GoldenFile::regenerating()) {
         regenRows()[GetParam()] = timing;
         return;
     }
-    const auto it = fuzzGolden().find(GetParam());
-    ASSERT_NE(it, fuzzGolden().end())
-        << "no row for seed " << GetParam() << " in " << fuzzGoldenPath()
-        << " — regenerate with MSIM_REGEN_GOLDEN=1 (see file header)";
+    SCOPED_TRACE(fuzzGolden().regenHint());
+    const auto it = fuzzRows().find(GetParam());
+    ASSERT_NE(it, fuzzRows().end())
+        << "no row for seed " << GetParam() << " in "
+        << fuzzGolden().path();
     EXPECT_EQ(timing.cycles, it->second.cycles) << "seed " << GetParam();
     EXPECT_EQ(timing.digest, it->second.digest)
         << "seed " << GetParam() << " cycle-accounting digest";

@@ -809,19 +809,17 @@ main:   li   $2, 1
     )");
     rig.ctx.allowSyscall = false;
     rig.start();
-    // From cycle 5 the syscall waits at the window head, and the unit
-    // stays due every cycle to re-poll its permission.
+    // From cycle 5 the syscall waits at the window head with nothing
+    // else in flight. Only becoming the head grants the permission,
+    // and the processor wakes the unit then, so the unit sleeps.
+    EXPECT_EQ(rig.tickUntilAsleep(0), 5u);
+    EXPECT_EQ(rig.due, kCycleNever);
+    // The skipped ticks book as the wait the last tick classified.
     const Cycle flip = 55;
-    for (Cycle now = 0; now < flip; ++now) {
-        rig.tick(now);
-        if (now >= 5) {
-            EXPECT_EQ(rig.due, now + 1) << now;
-        }
-    }
     const CycleAccountingResult waited = rig.booksSoFar(flip);
     EXPECT_EQ(waited[CycleCat::kIntraWait], 52u);
     EXPECT_EQ(rig.ctx.syscallCount, 0u);
-    // No call into the unit: it must notice the flip on its own.
+    // The wake-up tick finds the permission and runs the syscall.
     rig.ctx.allowSyscall = true;
     rig.tick(flip);
     EXPECT_EQ(rig.ctx.syscallCount, 1u);

@@ -22,6 +22,7 @@
 #include "common/stats.hh"
 #include "core/multiscalar_processor.hh"
 #include "core/scalar_processor.hh"
+#include "golden_file.hh"
 #include "sim/runner.hh"
 #include "trace/cycle_accounting.hh"
 #include "trace/trace_sink.hh"
@@ -535,12 +536,9 @@ TEST(TraceGolden, TraceAndStatsDigestsMatchSnapshot)
             {"ms4_l2", tracedDigests("ms4_l2", ms4l2)},
         };
 
-    const std::string golden =
-        std::string(MSIM_GOLDEN_DIR) + "/trace_digests.json";
-    const char *env = std::getenv("MSIM_REGEN_GOLDEN");
-    if (env && *env && std::string(env) != "0") {
-        std::ofstream f(golden, std::ios::binary);
-        ASSERT_TRUE(f.good()) << golden;
+    const GoldenFile golden("trace_digests.json", "test_trace");
+    if (GoldenFile::regenerating()) {
+        std::ostringstream f;
         f << "{\n";
         for (size_t i = 0; i < rows.size(); ++i) {
             f << "  \"" << rows[i].first << "\": {\"trace\": \""
@@ -549,19 +547,20 @@ TEST(TraceGolden, TraceAndStatsDigestsMatchSnapshot)
               << (i + 1 < rows.size() ? "," : "") << "\n";
         }
         f << "}\n";
-        GTEST_SKIP() << "regenerated " << golden;
+        golden.write(f.str());
+        GTEST_SKIP() << "regenerated " << golden.path();
     }
 
-    const std::string text = readFile(golden);
-    ASSERT_FALSE(text.empty())
-        << golden << " missing; regenerate with MSIM_REGEN_GOLDEN=1";
+    const std::string text = golden.read();
+    ASSERT_FALSE(text.empty());
     for (const auto &[name, digests] : rows) {
         const std::string want = "\"" + name + "\": {\"trace\": \"" +
                                  digests.first + "\", \"stats\": \"" +
                                  digests.second + "\"}";
         EXPECT_NE(text.find(want), std::string::npos)
             << name << ": trace " << digests.first << ", stats "
-            << digests.second << " not in " << golden;
+            << digests.second << " not in " << golden.path() << "; "
+            << golden.regenHint();
     }
 }
 

@@ -17,7 +17,7 @@
  *   --format FMT    output format: text (default) or json
  *   --json          shorthand for --format json (msim-lint-v1)
  *   --passes LIST   run only the comma-separated passes (default:
- *                   all eight; names as in the README table)
+ *                   all nine; names as in the README table)
  *   --strict        exit nonzero on warnings as well as errors
  *   --quiet         suppress clean-input chatter
  *
